@@ -1,14 +1,13 @@
 // E6 — Matcher automaton size: pieces vs whole signatures.
 //
-// Paper dependency: the fast path stores an Aho-Corasick automaton over
-// signature *pieces*. A natural worry is that splitting (k patterns per
-// rule instead of 1) inflates the automaton past what line-rate memory can
-// hold. It does not: the pieces tile the signature, so total pattern bytes
-// — and hence trie states — match the unsplit rule base. The sweep
-// quantifies that, plus the dense-DFA (one load per byte, SRAM-sized) vs
-// sparse-NFA (compact, multi-probe) trade-off that decides hardware cost.
-// Automaton sizes are deterministic for the seeded rule base, so no
-// repeat-timing applies here.
+// Paper dependency: the fast path stores an automaton over signature
+// *pieces*. A natural worry is that splitting (k patterns per rule instead
+// of 1) inflates the automaton past what line-rate memory can hold. It
+// does not: the pieces tile the signature, so total pattern bytes — and
+// hence trie states — match the unsplit rule base. The sweep quantifies
+// that in states and in the bytes of the FlatDfa both sides compile to
+// (one 1 KiB row per state). Automaton sizes are deterministic for the
+// seeded rule base, so no repeat-timing applies here.
 #include "bench_util.hpp"
 #include "core/splitter.hpp"
 #include "util/rng.hpp"
@@ -18,11 +17,10 @@ using namespace sdt;
 
 namespace {
 
-match::AhoCorasick whole_sig_matcher(const core::SignatureSet& sigs,
-                                     match::AcLayout layout) {
-  match::AhoCorasick::Builder b;
-  for (const core::Signature& s : sigs) b.add(s.bytes);
-  return b.build(layout);
+match::FlatDfa whole_sig_matcher(const core::SignatureSet& sigs) {
+  std::vector<Bytes> patterns;
+  for (const core::Signature& s : sigs) patterns.push_back(s.bytes);
+  return match::FlatDfa(patterns);
 }
 
 }  // namespace
@@ -33,13 +31,13 @@ int main(int argc, char** argv) {
                         "automaton memory, pieces vs whole signatures", opt);
   bench::banner("E6: automaton memory, pieces vs whole signatures",
                 "fast-path matcher must fit in fast memory (SRAM in the "
-                "paper's 20 Gbps argument); sweep rule-base size x layout");
+                "paper's 20 Gbps argument); sweep rule-base size");
 
   Rng rng(6);
   const std::size_t p = 8;
 
   std::printf("%6s | %14s %14s | %14s %14s | %10s\n", "#sigs",
-              "pieces dense", "pieces sparse", "whole dense", "whole sparse",
+              "piece states", "whole states", "piece bytes", "whole bytes",
               "states p/w");
   std::printf("-------+-------------------------------+------------------------"
               "-------+-----------\n");
@@ -54,34 +52,30 @@ int main(int argc, char** argv) {
       const std::size_t len = 16 + rng.below(105);
       sigs.add("s" + std::to_string(i), ByteView(rng.random_bytes(len)));
     }
-    const core::PieceSet pd(sigs, p, match::AcLayout::dense_dfa);
-    const core::PieceSet psp(sigs, p, match::AcLayout::sparse_nfa);
-    const auto wd = whole_sig_matcher(sigs, match::AcLayout::dense_dfa);
-    const auto ws = whole_sig_matcher(sigs, match::AcLayout::sparse_nfa);
+    const core::PieceSet ps(sigs, p);
+    const match::FlatDfa whole = whole_sig_matcher(sigs);
+    const double states_ratio = static_cast<double>(ps.flat().state_count()) /
+                                static_cast<double>(whole.state_count());
 
-    std::printf("%6zu | %14s %14s | %14s %14s | %5zu/%zu\n", n,
-                human_bytes(static_cast<double>(pd.memory_bytes())).c_str(),
-                human_bytes(static_cast<double>(psp.memory_bytes())).c_str(),
-                human_bytes(static_cast<double>(wd.memory_bytes())).c_str(),
-                human_bytes(static_cast<double>(ws.memory_bytes())).c_str(),
-                pd.matcher().state_count(), wd.state_count());
+    std::printf("%6zu | %14zu %14zu | %14s %14s | %10.3f\n", n,
+                ps.flat().state_count(), whole.state_count(),
+                human_bytes(static_cast<double>(ps.memory_bytes())).c_str(),
+                human_bytes(static_cast<double>(whole.memory_bytes())).c_str(),
+                states_ratio);
     char key[32];
     std::snprintf(key, sizeof key, "sigs%zu", n);
-    rep.metric(std::string(key) + ".pieces_dense_bytes",
-               static_cast<double>(pd.memory_bytes()), "bytes");
-    rep.metric(std::string(key) + ".pieces_sparse_bytes",
-               static_cast<double>(psp.memory_bytes()), "bytes");
-    rep.metric(std::string(key) + ".pieces_over_whole_states",
-               static_cast<double>(pd.matcher().state_count()) /
-                   static_cast<double>(wd.state_count()),
+    rep.metric(std::string(key) + ".pieces_bytes",
+               static_cast<double>(ps.memory_bytes()), "bytes");
+    rep.metric(std::string(key) + ".whole_bytes",
+               static_cast<double>(whole.memory_bytes()), "bytes");
+    rep.metric(std::string(key) + ".pieces_over_whole_states", states_ratio,
                "ratio");
   }
 
   std::printf(
       "\nexpected shape: piece and whole-signature automata are the same\n"
       "size class at every rule-base size (splitting is memory-neutral,\n"
-      "because pieces tile the signatures), while dense vs sparse layout\n"
-      "is a ~20x memory / ~several-x speed trade-off (see the\n"
-      "bench_match_kernels ablation for the speed side).\n");
+      "because pieces tile the signatures); piece bytes also carry the\n"
+      "8 KiB prefilter and the pattern -> (signature, offset) mapping.\n");
   return rep.write() ? 0 : 1;
 }

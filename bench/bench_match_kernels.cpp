@@ -3,7 +3,6 @@
 // Sweeps every kernel that can clear a payload on the fast path, over the
 // same 1460-byte-segment workload the packet path sees:
 //
-//   ac_dense / ac_sparse  AhoCorasick layouts (the pre-kernel baseline)
 //   flat_dfa              packed-entry flat DFA, sequential per segment
 //   flat_batch            contains_any_batch, 8 segments in lockstep
 //   prefilter             SIMD candidate windows only (no exact scan)
@@ -62,19 +61,13 @@ int main(int argc, char** argv) {
                         "per-byte scan cost by match kernel", opt);
   bench::banner("A1: match-kernel ablation",
                 "the fast path's per-byte budget: flat DFA + batch + SIMD "
-                "prefilter vs the AhoCorasick baselines (feeds E3/E6)");
+                "prefilter, kernel by kernel (feeds E3/E6)");
 
   const core::SignatureSet sigs = evasion::default_corpus(16);
   const std::size_t piece_len = 8;
-  const core::PieceSet dense(sigs, piece_len, match::AcLayout::dense_dfa);
-  const core::PieceSet sparse(sigs, piece_len, match::AcLayout::sparse_nfa);
-  if (!dense.has_kernels()) {
-    std::fprintf(stderr, "bench_match_kernels: dense PieceSet lost its "
-                         "kernels — nothing to measure\n");
-    return 1;
-  }
-  const match::FlatDfa& flat = dense.flat();
-  const match::Prefilter& pre = dense.prefilter();
+  const core::PieceSet pieces(sigs, piece_len);
+  const match::FlatDfa& flat = pieces.flat();
+  const match::Prefilter& pre = pieces.prefilter();
 
   // Clean: random bytes (binary, worst case for byte-class prefilters).
   // Dirty: the same payload with a signature piece planted every ~4 KiB,
@@ -116,16 +109,6 @@ int main(int argc, char** argv) {
     rep.metric(std::string(name) + ".dirty_ns_per_byte", d, "ns/byte");
   };
 
-  bench_one("ac_dense", [&](const std::vector<ByteView>& segs) {
-    bool any = false;
-    for (const ByteView s : segs) any |= dense.matcher().contains_any(s);
-    keep(any ? 1 : 0);
-  });
-  bench_one("ac_sparse", [&](const std::vector<ByteView>& segs) {
-    bool any = false;
-    for (const ByteView s : segs) any |= sparse.matcher().contains_any(s);
-    keep(any ? 1 : 0);
-  });
   bench_one("flat_dfa", [&](const std::vector<ByteView>& segs) {
     bool any = false;
     for (const ByteView s : segs) any |= flat.contains_any(s);
@@ -181,8 +164,7 @@ int main(int argc, char** argv) {
   rep.metric("prefilter.dirty_exact_fraction", dirty_frac, "fraction");
 
   std::printf(
-      "\nexpected shape: flat_dfa beats ac_dense (no layout dispatch, no\n"
-      "second accept probe), flat_batch beats flat_dfa on many segments\n"
+      "\nexpected shape: flat_batch beats flat_dfa on many segments\n"
       "(overlapped row loads), and staged crushes both on clean traffic\n"
       "(the SIMD prefilter clears most bytes without touching the DFA);\n"
       "on dirty traffic staged degrades toward flat_dfa, never worse than\n"

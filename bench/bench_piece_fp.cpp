@@ -16,8 +16,8 @@ namespace {
 
 double hits_per_mb(const core::PieceSet& ps, ByteView payload) {
   std::size_t hits = 0;
-  ps.matcher().scan(payload, match::AhoCorasick::kRoot,
-                    [&](match::AhoCorasick::Match) { ++hits; });
+  ps.flat().scan(payload, match::FlatDfa::kRoot,
+                 [&](match::FlatDfa::Match) { ++hits; });
   return static_cast<double>(hits) * 1e6 / static_cast<double>(payload.size());
 }
 

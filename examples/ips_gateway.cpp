@@ -375,14 +375,10 @@ int main(int argc, char** argv) {
 
   // Rule lifecycle plumbing. The compiler's options mirror the lane engine
   // configuration so a published artifact is always adoptable (same piece
-  // length and automaton layout); a rule too short to split is dropped
+  // length and phase sample); a rule too short to split is dropped
   // with a diagnostic instead of failing the load — the reload semantics.
-  core::CompileOptions copts;
-  copts.piece_len = rc.engine.fast.piece_len;
-  copts.layout = rc.engine.fast.layout;
-  copts.piece_phase_sample = rc.engine.fast.piece_phase_sample;
   control::RuleSetRegistry registry;
-  control::RuleCompiler compiler(copts);
+  control::RuleCompiler compiler(core::compile_options(rc.engine.fast));
 
   // Version 1: the rule file if given, else the built-in demo corpus.
   control::CompileResult v1 =

@@ -3,6 +3,8 @@
 # command:
 #
 #   1. configure + build + full ctest in ./build        (the tier-1 contract)
+#   1b. stress: ctest -L 'runtime|wire' repeated until failure, 20 times
+#      at -j4 — the thread-timing tests must hold on a loaded host
 #   2. TSan build of the runtime in ./build-tsan and
 #      ctest -L 'runtime|telemetry|control|slowpath|wire' under it (the
 #      data-race gate: lanes, stats, rule-set hot-reload, the
@@ -53,6 +55,10 @@ cmake --build build -j "${JOBS}"
 
 echo "== tier-1: ctest =="
 (cd build && ctest --output-on-failure -j "${JOBS}")
+
+echo "== stress: runtime|wire tests, repeated until failure (x20) =="
+ctest --test-dir build --repeat until-fail:20 -L 'runtime|wire' -j4 \
+  --output-on-failure
 
 echo "== tsan: configure + build (SDT_SANITIZE=thread) =="
 cmake -B build-tsan -S . -DSDT_SANITIZE=thread >/dev/null

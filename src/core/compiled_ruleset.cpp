@@ -3,6 +3,7 @@
 #include <chrono>
 #include <map>
 
+#include "core/fast_path.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -36,12 +37,19 @@ std::string CompileReport::to_json() const {
 }
 
 std::size_t CompiledRuleSet::memory_bytes() const {
-  std::size_t n = full_ac_.memory_bytes();
+  std::size_t n = full_.memory_bytes();
   if (pieces_) n += pieces_->memory_bytes();
   n += full_sids_.capacity() * sizeof(std::uint32_t);
   n += full_begin_.capacity() * sizeof(std::uint32_t);
   for (const Signature& s : sigs_) n += s.bytes.capacity() + s.name.capacity();
   return n;
+}
+
+CompileOptions compile_options(const FastPathConfig& cfg) {
+  CompileOptions opts;
+  opts.piece_len = cfg.piece_len;
+  opts.piece_phase_sample = cfg.piece_phase_sample;
+  return opts;
 }
 
 RuleSetHandle compile_ruleset(SignatureSet sigs, const CompileOptions& opts,
@@ -104,14 +112,14 @@ RuleSetHandle compile_ruleset(SignatureSet sigs, const CompileOptions& opts,
   // carry the same content under several sids, and the automaton need hold
   // each distinct string once. CSR maps a pattern hit back to every sid.
   {
-    match::AhoCorasick::Builder b;
+    std::vector<Bytes> patterns;
     std::map<Bytes, std::uint32_t> seen;  // signature bytes -> pattern id
     std::vector<std::vector<std::uint32_t>> groups;
     for (const Signature& s : rs->sigs_) {
       const auto [it, fresh] =
           seen.emplace(s.bytes, static_cast<std::uint32_t>(groups.size()));
       if (fresh) {
-        b.add(ByteView(s.bytes));
+        patterns.push_back(s.bytes);
         groups.emplace_back();
       } else {
         ++rs->report_.duplicate_signatures;
@@ -125,21 +133,21 @@ RuleSetHandle compile_ruleset(SignatureSet sigs, const CompileOptions& opts,
       rs->full_begin_.push_back(
           static_cast<std::uint32_t>(rs->full_sids_.size()));
     }
-    rs->full_ac_ = b.build(opts.layout);
-    rs->report_.full_patterns = rs->full_ac_.pattern_count();
+    rs->full_ = match::FlatDfa(patterns);
+    rs->report_.full_patterns = rs->full_.pattern_count();
   }
 
   if (opts.piece_len != 0) {
     rs->pieces_.emplace(
         opts.piece_phase_sample.empty()
-            ? PieceSet(rs->sigs_, opts.piece_len, opts.layout)
-            : PieceSet(rs->sigs_, opts.piece_len, opts.layout,
+            ? PieceSet(rs->sigs_, opts.piece_len)
+            : PieceSet(rs->sigs_, opts.piece_len,
                        ByteView(opts.piece_phase_sample)));
     rs->report_.piece_count = rs->pieces_->piece_count();
     rs->report_.piece_patterns = rs->pieces_->pattern_count();
   }
 
-  rs->report_.automaton_bytes = rs->full_ac_.memory_bytes() +
+  rs->report_.automaton_bytes = rs->full_.memory_bytes() +
                                 (rs->pieces_ ? rs->pieces_->memory_bytes() : 0);
   rs->report_.compile_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -2,7 +2,7 @@
 //
 // The paper's operating point (inline on a 20 Gbps link, 1M connections)
 // forbids restarting the box to pick up a new signature, so the expensive
-// step — parse rules, split signatures into pieces, build the Aho-Corasick
+// step — parse rules, split signatures into pieces, build the two
 // automata — happens entirely off the packet path, producing ONE immutable
 // object that the engines merely *reference*:
 //
@@ -37,7 +37,7 @@
 #include "core/rules.hpp"
 #include "core/signature.hpp"
 #include "core/splitter.hpp"
-#include "match/aho_corasick.hpp"
+#include "match/flat_dfa.hpp"
 
 namespace sdt::core {
 
@@ -48,7 +48,6 @@ struct CompileOptions {
   /// Piece length p for the fast path's PieceSet. 0 = slow-path-only
   /// artifact (no pieces; FastPath refuses such a handle).
   std::size_t piece_len = 0;
-  match::AcLayout layout = match::AcLayout::dense_dfa;
   /// Optional benign-payload sample for the rare-piece phase optimization.
   Bytes piece_phase_sample;
   /// Signatures shorter than 2*piece_len cannot be safely split. false:
@@ -101,7 +100,7 @@ class CompiledRuleSet {
   std::size_t piece_len() const { return pieces_ ? pieces_->piece_len() : 0; }
 
   /// Slow-path full-signature matcher (deduplicated patterns).
-  const match::AhoCorasick& full_matcher() const { return full_ac_; }
+  const match::FlatDfa& full_matcher() const { return full_; }
 
   /// Every signature id carrying the bytes of full-matcher pattern
   /// `pattern_id` (>= 1 entry; > 1 when rules duplicate content).
@@ -126,7 +125,7 @@ class CompiledRuleSet {
   std::string source_;
   SignatureSet sigs_;
   std::optional<PieceSet> pieces_;
-  match::AhoCorasick full_ac_;
+  match::FlatDfa full_;
   /// CSR: full-matcher pattern id -> full_sids_[begin[id], begin[id+1]).
   std::vector<std::uint32_t> full_sids_;
   std::vector<std::uint32_t> full_begin_;
@@ -136,6 +135,13 @@ class CompiledRuleSet {
 /// Shared-ownership handle — what the registry publishes, lanes adopt, and
 /// in-flight flows pin.
 using RuleSetHandle = std::shared_ptr<const CompiledRuleSet>;
+
+struct FastPathConfig;
+
+/// The compile options an engine configured by `cfg` can adopt: its piece
+/// length and phase sample. Every "config -> artifact" path derives its
+/// options here, so a published artifact always matches the lanes.
+CompileOptions compile_options(const FastPathConfig& cfg);
 
 /// The offline compile. Consumes `sigs` (post-parse); `parse_diags` (from
 /// RuleParseResult) are folded into the report so the artifact carries the

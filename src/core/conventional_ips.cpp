@@ -8,21 +8,11 @@
 
 namespace sdt::core {
 
-namespace {
-
-RuleSetHandle compile_slow_only(const SignatureSet& sigs,
-                                const ConventionalIpsConfig& cfg) {
-  CompileOptions opts;
-  opts.piece_len = 0;  // this engine never touches the piece database
-  opts.layout = cfg.layout;
-  return compile_ruleset(sigs, opts);
-}
-
-}  // namespace
-
+// Default options: piece_len 0, as this engine never touches the piece
+// database.
 ConventionalIps::ConventionalIps(const SignatureSet& sigs,
                                  ConventionalIpsConfig cfg)
-    : ConventionalIps(compile_slow_only(sigs, cfg), cfg) {}
+    : ConventionalIps(compile_ruleset(sigs, CompileOptions{}), cfg) {}
 
 ConventionalIps::ConventionalIps(RuleSetHandle rules, ConventionalIpsConfig cfg)
     : cfg_(cfg), rules_(std::move(rules)), defrag_(cfg.defrag),
@@ -157,8 +147,7 @@ void ConventionalIps::process_udp(const net::PacketView& pv,
   // Stateless scan: no cross-packet automaton state, so the current
   // version applies (nothing pins a UDP "flow" to an older artifact).
   rules_->full_matcher().scan(
-      pv.l4_payload, match::AhoCorasick::kRoot,
-      [&](match::AhoCorasick::Match m) {
+      pv.l4_payload, match::FlatDfa::kRoot, [&](match::FlatDfa::Match m) {
         for (const std::uint32_t sid : rules_->sids_for_pattern(m.pattern_id)) {
           ++stats_.alerts;
           alerts.push_back(Alert{ref.key, sid, now_usec, m.end_offset, "udp"});
@@ -172,11 +161,11 @@ void ConventionalIps::scan_stream(const flow::FlowKey& key, ConnState& cs,
                                   std::vector<Alert>& alerts) {
   const auto d = static_cast<std::size_t>(dir);
   stats_.bytes_scanned += chunk.size();
-  // Match under the flow's pinned version: ac_state[d] indexes into that
+  // Match under the flow's pinned version: cursor[d] indexes into that
   // artifact's automaton and stays valid across swap_ruleset.
   const CompiledRuleSet& rules = *cs.rules;
-  cs.ac_state[d] = rules.full_matcher().scan(
-      chunk, cs.ac_state[d], [&](match::AhoCorasick::Match m) {
+  cs.cursor[d] = rules.full_matcher().scan(
+      chunk, cs.cursor[d], [&](match::FlatDfa::Match m) {
         for (const std::uint32_t sid : rules.sids_for_pattern(m.pattern_id)) {
           if (already_alerted(cs, sid)) continue;
           ++stats_.alerts;

@@ -25,7 +25,7 @@
 #include "core/signature.hpp"
 #include "core/verdict.hpp"
 #include "flow/flow_table.hpp"
-#include "match/aho_corasick.hpp"
+#include "match/flat_dfa.hpp"
 #include "net/packet.hpp"
 #include "reassembly/connection.hpp"
 #include "reassembly/ip_defrag.hpp"
@@ -37,7 +37,6 @@ struct ConventionalIpsConfig {
   reassembly::IpDefragConfig defrag;
   std::size_t max_flows = 1 << 20;
   std::uint64_t flow_idle_timeout_usec = 60ull * 1000 * 1000;
-  match::AcLayout layout = match::AcLayout::dense_dfa;
   /// Maximum missing signature prefix tolerated at takeover (Split-Detect
   /// sets this to 3p-3; 0 disables the anchored suffix check). Adoption
   /// can tighten it per flow direction via the fast path's measured leak
@@ -149,21 +148,19 @@ class ConventionalIps {
   /// the E2 experiment measures.
   std::size_t flow_state_bytes() const;
 
-  const match::AhoCorasick& matcher() const { return rules_->full_matcher(); }
-
  private:
   struct ConnState {
     reassembly::TcpConnection conn;
-    match::AhoCorasick::State ac_state[2] = {match::AhoCorasick::kRoot,
-                                             match::AhoCorasick::kRoot};
+    match::FlatDfa::Entry cursor[2] = {match::FlatDfa::kRoot,
+                                       match::FlatDfa::kRoot};
     std::uint64_t stream_pos[2] = {0, 0};
     bool adopted = false;
     bool suffix_done[2] = {false, false};
     std::uint16_t suffix_slack[2] = {0, 0};  // per-direction leak bound
     Bytes head[2];  // adopted flows: first bytes for the anchored check
     std::vector<std::uint32_t> alerted;  // signature ids already raised
-    /// The rule-set version this flow is pinned to. ac_state[] are state
-    /// indices into THIS artifact's automaton — the pin is what keeps them
+    /// The rule-set version this flow is pinned to. cursor[] are state
+    /// entries of THIS artifact's automaton — the pin is what keeps them
     /// valid across swap_ruleset, and the shared_ptr is what keeps the old
     /// automaton alive until the last pinned flow expires.
     RuleSetHandle rules;

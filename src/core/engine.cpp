@@ -9,7 +9,6 @@ ConventionalIpsConfig derive_slow_config(const SplitDetectConfig& cfg) {
   c.reasm = cfg.slow_reasm;
   c.defrag = cfg.defrag;
   c.max_flows = cfg.slow_max_flows;
-  c.layout = cfg.fast.layout;
   // Clean packets can leak up to 3p-3 signature-prefix bytes past the fast
   // path before diversion (p-1 via edge packets, plus 2p-2 via one
   // FIN-pending small segment). The anchored takeover check covers them.
@@ -32,19 +31,11 @@ FastPathConfig fast_config(const SplitDetectConfig& cfg) {
   return f;
 }
 
-CompileOptions compile_options(const SplitDetectConfig& cfg) {
-  CompileOptions opts;
-  opts.piece_len = cfg.fast.piece_len;
-  opts.layout = cfg.fast.layout;
-  opts.piece_phase_sample = cfg.fast.piece_phase_sample;
-  return opts;
-}
-
 }  // namespace
 
 SplitDetectEngine::SplitDetectEngine(const SignatureSet& sigs,
                                      SplitDetectConfig cfg)
-    : SplitDetectEngine(compile_ruleset(sigs, compile_options(cfg)), cfg) {}
+    : SplitDetectEngine(compile_ruleset(sigs, compile_options(cfg.fast)), cfg) {}
 
 SplitDetectEngine::SplitDetectEngine(RuleSetHandle rules, SplitDetectConfig cfg)
     : fast_(rules, fast_config(cfg)),

@@ -10,15 +10,6 @@ namespace sdt::core {
 
 namespace {
 
-RuleSetHandle compile_for_fast_path(const SignatureSet& sigs,
-                                    const FastPathConfig& cfg) {
-  CompileOptions opts;
-  opts.piece_len = cfg.piece_len;
-  opts.layout = cfg.layout;
-  opts.piece_phase_sample = cfg.piece_phase_sample;
-  return compile_ruleset(sigs, opts);
-}
-
 void check_compatible(const RuleSetHandle& rules, const FastPathConfig& cfg) {
   if (!rules) throw InvalidArgument("FastPath: null rule-set handle");
   if (!rules->has_pieces()) {
@@ -38,7 +29,7 @@ void check_compatible(const RuleSetHandle& rules, const FastPathConfig& cfg) {
 }  // namespace
 
 FastPath::FastPath(const SignatureSet& sigs, FastPathConfig cfg)
-    : FastPath(compile_for_fast_path(sigs, cfg), cfg) {}
+    : FastPath(compile_ruleset(sigs, compile_options(cfg)), cfg) {}
 
 FastPath::FastPath(RuleSetHandle rules, FastPathConfig cfg)
     : cfg_(std::move(cfg)), rules_(std::move(rules)),
@@ -108,8 +99,7 @@ FastDecision::Takeover FastPath::force_divert(const flow::FlowKey& key,
 FastPath::Prescan FastPath::compute_scan(ByteView payload) const {
   Prescan o;
   const PieceSet& ps = rules_->pieces();
-  const bool can_stage =
-      cfg_.use_prefilter && ps.has_kernels() && ps.prefilter().usable();
+  const bool can_stage = cfg_.use_prefilter && ps.prefilter().usable();
   if (can_stage && !staged_wanted()) {
     o.pre_bypass = 1;
     o.hit = ps.flat().contains_any(payload) ? 1 : 0;
@@ -136,9 +126,7 @@ FastPath::Prescan FastPath::compute_scan(ByteView payload) const {
     }
     return o;
   }
-  const bool hit = ps.has_kernels() ? ps.flat().contains_any(payload)
-                                    : ps.matcher().contains_any(payload);
-  o.hit = hit ? 1 : 0;
+  o.hit = ps.flat().contains_any(payload) ? 1 : 0;
   return o;
 }
 
@@ -202,8 +190,7 @@ void FastPath::process_chunk(const net::PacketView* pvs,
   batch_wins_.clear();
   batch_owner_.clear();
   const PieceSet& ps = rules_->pieces();
-  const bool can_stage = cfg_.use_prefilter && ps.has_kernels() &&
-                         ps.prefilter().usable();
+  const bool can_stage = cfg_.use_prefilter && ps.prefilter().usable();
   const bool staged = can_stage && staged_wanted();
   for (std::size_t i = 0; i < n; ++i) {
     const net::PacketView& pv = pvs[i];
@@ -249,14 +236,8 @@ void FastPath::process_chunk(const net::PacketView* pvs,
   // in the chunk.
   if (!batch_wins_.empty()) {
     batch_hit_.assign(batch_wins_.size(), 0);
-    if (ps.has_kernels()) {
-      ps.flat().contains_any_batch(batch_wins_.data(), batch_wins_.size(),
-                                   batch_hit_.data());
-    } else {
-      for (std::size_t j = 0; j < batch_wins_.size(); ++j) {
-        batch_hit_[j] = ps.matcher().contains_any(batch_wins_[j]) ? 1 : 0;
-      }
-    }
+    ps.flat().contains_any_batch(batch_wins_.data(), batch_wins_.size(),
+                                 batch_hit_.data());
     for (std::size_t j = 0; j < batch_wins_.size(); ++j) {
       if (batch_hit_[j] != 0) pre[batch_owner_[j]].hit = 1;
     }

@@ -60,11 +60,9 @@ struct FastPathConfig {
   /// Diverted flows are exempt: their record keeps routing packets to the
   /// slow path for the full idle timeout.
   std::uint64_t fin_linger_usec = 5ull * 1000 * 1000;
-  match::AcLayout layout = match::AcLayout::dense_dfa;
-  /// Gate the exact piece scan behind the SIMD 2-byte-prefix prefilter and
-  /// run it on the flat DFA (dense layout only; other layouts fall back to
-  /// the plain automaton automatically). Verdict-identical either way —
-  /// the fuzzer crosschecks it — this is purely a speed knob.
+  /// Gate the exact piece scan behind the SIMD 2-byte-prefix prefilter.
+  /// Verdict-identical either way — the fuzzer crosschecks it — this is
+  /// purely a speed knob.
   bool use_prefilter = true;
   /// Let the prefilter disable itself when observed traffic defeats it.
   /// Textual payloads against textual piece prefixes put candidate windows

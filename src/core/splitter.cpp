@@ -69,17 +69,17 @@ std::vector<std::uint32_t> optimized_piece_offsets(ByteView sig, std::size_t p,
 
 namespace {
 
-/// Common construction: builds the matcher over the per-signature offset
-/// lists produced by `offsets_of`, deduplicating identical piece bytes so
-/// the automaton holds each distinct p-byte string once. Builder ids are
-/// dense and sequential, so the per-pattern piece groups assemble in id
-/// order and flatten into a CSR mapping.
+/// Common construction: collects the automaton's pattern list over the
+/// per-signature offset lists produced by `offsets_of`, deduplicating
+/// identical piece bytes so the automaton holds each distinct p-byte
+/// string once. Pattern ids are dense and sequential, so the per-pattern
+/// piece groups assemble in id order and flatten into a CSR mapping.
 template <typename OffsetsFn>
-void build_piece_set(const SignatureSet& sigs, std::size_t piece_len,
-                     match::AcLayout layout, OffsetsFn&& offsets_of,
-                     match::AhoCorasick& ac, std::vector<Piece>& pieces,
-                     std::vector<std::uint32_t>& begin) {
-  match::AhoCorasick::Builder b;
+std::vector<Bytes> collect_pieces(const SignatureSet& sigs,
+                                  std::size_t piece_len, OffsetsFn&& offsets_of,
+                                  std::vector<Piece>& pieces,
+                                  std::vector<std::uint32_t>& begin) {
+  std::vector<Bytes> patterns;
   std::map<Bytes, std::uint32_t> seen;  // piece bytes -> pattern id
   std::vector<std::vector<Piece>> groups;
   for (const Signature& s : sigs) {
@@ -89,10 +89,7 @@ void build_piece_set(const SignatureSet& sigs, std::size_t piece_len,
       const auto [it, fresh] =
           seen.emplace(std::move(key), static_cast<std::uint32_t>(groups.size()));
       if (fresh) {
-        const std::uint32_t id = b.add(bytes);
-        if (id != groups.size()) {
-          throw InvalidArgument("PieceSet: matcher id mismatch");
-        }
+        patterns.emplace_back(bytes.begin(), bytes.end());
         groups.emplace_back();
       }
       groups[it->second].push_back(Piece{s.id, off});
@@ -106,37 +103,33 @@ void build_piece_set(const SignatureSet& sigs, std::size_t piece_len,
     pieces.insert(pieces.end(), g.begin(), g.end());
     begin.push_back(static_cast<std::uint32_t>(pieces.size()));
   }
-  ac = b.build(layout);
+  return patterns;
 }
 
 }  // namespace
 
-PieceSet::PieceSet(const SignatureSet& sigs, std::size_t piece_len,
-                   match::AcLayout layout)
+PieceSet::PieceSet(const SignatureSet& sigs, std::size_t piece_len)
     : piece_len_(piece_len) {
-  build_piece_set(
-      sigs, piece_len, layout,
+  build(collect_pieces(
+      sigs, piece_len,
       [&](const Signature& s) { return piece_offsets(s.bytes.size(), piece_len); },
-      ac_, pieces_, begin_);
-  build_kernels(layout);
+      pieces_, begin_));
 }
 
 PieceSet::PieceSet(const SignatureSet& sigs, std::size_t piece_len,
-                   match::AcLayout layout, ByteView benign_sample)
+                   ByteView benign_sample)
     : piece_len_(piece_len) {
-  build_piece_set(
-      sigs, piece_len, layout,
+  build(collect_pieces(
+      sigs, piece_len,
       [&](const Signature& s) {
         return optimized_piece_offsets(s.bytes, piece_len, benign_sample);
       },
-      ac_, pieces_, begin_);
-  build_kernels(layout);
+      pieces_, begin_));
 }
 
-void PieceSet::build_kernels(match::AcLayout layout) {
-  if (layout != match::AcLayout::dense_dfa) return;
-  flat_ = match::FlatDfa(ac_);
-  pre_ = match::Prefilter(ac_);
+void PieceSet::build(const std::vector<Bytes>& patterns) {
+  flat_ = match::FlatDfa(patterns);
+  pre_ = match::Prefilter(patterns);
 }
 
 }  // namespace sdt::core

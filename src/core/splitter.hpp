@@ -3,7 +3,7 @@
 // A signature of length L >= 2p is cut into pieces of length exactly p:
 // tiled at offsets 0, p, 2p, ... (every tile that fits entirely) plus one
 // piece anchored at the end, [L-p, L). Pieces may overlap when p does not
-// divide L; the Aho-Corasick automaton absorbs the redundancy.
+// divide L; the piece automaton absorbs the redundancy.
 //
 // This tiling yields the covering property the detection theorem rests on:
 //
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/signature.hpp"
-#include "match/aho_corasick.hpp"
 #include "match/flat_dfa.hpp"
 #include "match/prefilter.hpp"
 
@@ -62,8 +61,8 @@ std::vector<std::uint32_t> optimized_piece_offsets(ByteView sig, std::size_t p,
                                                    ByteView benign_sample);
 
 /// The fast path's pattern database: every piece of every signature,
-/// compiled into one Aho-Corasick automaton, with the reverse mapping from
-/// matcher pattern id back to (signature, offset).
+/// compiled into one FlatDfa plus its prefilter, with the reverse mapping
+/// from automaton pattern id back to (signature, offset).
 ///
 /// Identical piece byte-strings are deduplicated before the automaton
 /// build: rule bases share protocol substrings heavily, so two rules whose
@@ -74,55 +73,48 @@ std::vector<std::uint32_t> optimized_piece_offsets(ByteView sig, std::size_t p,
 class PieceSet {
  public:
   PieceSet() = default;
-  PieceSet(const SignatureSet& sigs, std::size_t piece_len,
-           match::AcLayout layout = match::AcLayout::dense_dfa);
+  PieceSet(const SignatureSet& sigs, std::size_t piece_len);
 
   /// Phase-optimized construction: per-signature tiling phases chosen to
   /// minimize chance piece hits against `benign_sample` (see
   /// optimized_piece_offsets). Detection guarantees are identical.
   PieceSet(const SignatureSet& sigs, std::size_t piece_len,
-           match::AcLayout layout, ByteView benign_sample);
+           ByteView benign_sample);
 
   std::size_t piece_len() const { return piece_len_; }
   /// Total (signature, offset) mappings — every tiled piece, duplicates
   /// included.
   std::size_t piece_count() const { return pieces_.size(); }
   /// Unique automaton patterns (<= piece_count when rules share content).
-  std::size_t pattern_count() const { return ac_.pattern_count(); }
-  const match::AhoCorasick& matcher() const { return ac_; }
-
-  /// Scan kernels, built for the dense layout only (the flat re-encoding
-  /// would double a sparse set's footprint, defeating its point — E6
-  /// sweeps the compact layout honestly). has_kernels() gates use.
-  bool has_kernels() const { return !flat_.empty(); }
+  std::size_t pattern_count() const { return flat_.pattern_count(); }
+  /// The piece automaton and the prefilter that gates it.
   const match::FlatDfa& flat() const { return flat_; }
   const match::Prefilter& prefilter() const { return pre_; }
 
-  /// The first (signature, offset) behind an AhoCorasick pattern id — the
+  /// The first (signature, offset) behind an automaton pattern id — the
   /// piece that introduced the pattern, in signature order.
   const Piece& piece(std::uint32_t pattern_id) const {
     return pieces_[begin_[pattern_id]];
   }
 
-  /// Every (signature, offset) mapped to an AhoCorasick pattern id.
+  /// Every (signature, offset) mapped to an automaton pattern id.
   std::span<const Piece> pieces_for(std::uint32_t pattern_id) const {
     return std::span<const Piece>(pieces_)
         .subspan(begin_[pattern_id],
                  begin_[pattern_id + 1] - begin_[pattern_id]);
   }
 
-  /// Fast-path memory cost (automaton + scan kernels + mapping).
+  /// Fast-path memory cost (automaton + prefilter + mapping).
   std::size_t memory_bytes() const {
-    return ac_.memory_bytes() + flat_.memory_bytes() + pre_.memory_bytes() +
+    return flat_.memory_bytes() + pre_.memory_bytes() +
            pieces_.capacity() * sizeof(Piece) +
            begin_.capacity() * sizeof(std::uint32_t);
   }
 
  private:
-  void build_kernels(match::AcLayout layout);
+  void build(const std::vector<Bytes>& patterns);
 
   std::size_t piece_len_ = 0;
-  match::AhoCorasick ac_;
   match::FlatDfa flat_;
   match::Prefilter pre_;
   /// CSR mapping: pattern id -> pieces_[begin_[id], begin_[id+1]).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/fast_path.hpp"
 #include "core/splitter.hpp"
 
 namespace sdt::core {
@@ -100,31 +101,34 @@ ConfigReport validate_config(const SignatureSet& sigs,
   }
 
   // --- sizing facts ---------------------------------------------------------
-  const PieceSet pieces(sigs, p, cfg.fast.layout);
+  const PieceSet pieces(sigs, p);
   r.piece_count = pieces.piece_count();
   r.matcher_bytes = pieces.memory_bytes();
-  // 16B record + key/links/index, as measured by E2 (~64 B/flow provisioned).
-  r.est_fast_state_bytes_1m = 64.0 * 1e6;
+  // The fast path's own table (16 B record + key, links and index) sized
+  // for 1M flows, as E2 measures it.
+  r.est_fast_state_bytes_1m = static_cast<double>(
+      flow::FlowTable<FastFlowState>::footprint_bytes(
+          {.max_flows = 1'000'000,
+           .idle_timeout_usec = cfg.fast.flow_idle_timeout_usec,
+           .linger_usec = cfg.fast.fin_linger_usec}));
   add(r, Severity::info,
       std::to_string(sigs.size()) + " signatures -> " +
           std::to_string(r.piece_count) + " pieces; fast-path matcher " +
-          std::to_string(r.matcher_bytes / 1024) + " KiB (" +
-          (cfg.fast.layout == match::AcLayout::dense_dfa ? "dense" : "sparse") +
-          ")");
+          std::to_string(r.matcher_bytes / 1024) + " KiB");
 
   // --- sample-driven estimates ----------------------------------------------
   if (!benign_sample.empty()) {
     std::size_t hits = 0;
-    pieces.matcher().scan(benign_sample, match::AhoCorasick::kRoot,
-                          [&](match::AhoCorasick::Match) { ++hits; });
+    pieces.flat().scan(benign_sample, match::FlatDfa::kRoot,
+                       [&](match::FlatDfa::Match) { ++hits; });
     r.piece_hits_per_mb = static_cast<double>(hits) * 1e6 /
                           static_cast<double>(benign_sample.size());
     if (r.piece_hits_per_mb > 10.0) {
       // Would phase optimization help?
-      const PieceSet opt(sigs, p, cfg.fast.layout, benign_sample);
+      const PieceSet opt(sigs, p, benign_sample);
       std::size_t opt_hits = 0;
-      opt.matcher().scan(benign_sample, match::AhoCorasick::kRoot,
-                         [&](match::AhoCorasick::Match) { ++opt_hits; });
+      opt.flat().scan(benign_sample, match::FlatDfa::kRoot,
+                      [&](match::FlatDfa::Match) { ++opt_hits; });
       if (opt_hits * 5 < hits * 4) {  // >20% improvement
         add(r, Severity::warning,
             "pieces hit benign sample " +

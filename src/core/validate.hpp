@@ -38,7 +38,7 @@ struct ConfigReport {
   std::size_t small_segment_threshold = 0;  // 2p-1
   std::size_t min_signature_len = 0;
   std::size_t piece_count = 0;
-  std::size_t matcher_bytes = 0;           // dense fast-path automaton
+  std::size_t matcher_bytes = 0;           // fast-path automaton + prefilter
   double est_fast_state_bytes_1m = 0.0;    // provisioned for 1M flows
   double piece_hits_per_mb = -1.0;         // -1 when no sample was given
 

@@ -64,15 +64,24 @@ class FlowTable {
                               : cfg.wheel_granularity_usec) {
     if (max_flows_ == 0) throw InvalidArgument("FlowTable: max_flows == 0");
     slab_.reserve(max_flows_);
-    bucket_count_ = 1;
-    while (bucket_count_ < max_flows_ * 2) bucket_count_ <<= 1;
+    bucket_count_ = bucket_count_for(max_flows_);
     buckets_.assign(bucket_count_, kEmpty);
     if (idle_timeout_usec_ != 0) {
-      std::size_t slots = 1;
-      while (slots < std::max<std::size_t>(cfg.wheel_slots, 2)) slots <<= 1;
+      const std::size_t slots = wheel_slots_for(cfg.wheel_slots);
       wheel_.assign(slots, kNone);
       wheel_mask_ = slots - 1;
     }
+  }
+
+  /// What memory_bytes() reports for a table built with `cfg`, without
+  /// building it: the slab is reserved for max_flows up front, so this is
+  /// also the footprint of the table when full.
+  static std::size_t footprint_bytes(const Config& cfg) {
+    const std::size_t wheel =
+        cfg.idle_timeout_usec == 0 ? 0 : wheel_slots_for(cfg.wheel_slots);
+    return cfg.max_flows * sizeof(Entry) +
+           (bucket_count_for(cfg.max_flows) + wheel) * sizeof(std::uint32_t) +
+           sizeof(FlowTable);
   }
 
   void set_evict_callback(EvictFn fn) { evict_fn_ = std::move(fn); }
@@ -253,6 +262,19 @@ class FlowTable {
   static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
   static constexpr std::uint32_t kEmpty = kNone;
   static constexpr std::uint32_t kTombstone = kNone - 1;
+
+  // ---- geometry ----------------------------------------------------------
+
+  static std::size_t bucket_count_for(std::size_t max_flows) {
+    std::size_t n = 1;
+    while (n < max_flows * 2) n <<= 1;
+    return n;
+  }
+  static std::size_t wheel_slots_for(std::size_t wanted) {
+    std::size_t n = 1;
+    while (n < std::max<std::size_t>(wanted, 2)) n <<= 1;
+    return n;
+  }
 
   // ---- index -------------------------------------------------------------
 

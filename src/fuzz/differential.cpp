@@ -252,15 +252,6 @@ std::uint64_t alert_digest(const std::vector<core::Alert>& alerts) {
   return h;
 }
 
-core::CompileOptions reload_compile_options(const HarnessConfig& cfg) {
-  const core::SplitDetectConfig ec = cfg.engine_config();
-  core::CompileOptions opts;
-  opts.piece_len = ec.fast.piece_len;
-  opts.layout = ec.fast.layout;
-  opts.piece_phase_sample = ec.fast.piece_phase_sample;
-  return opts;
-}
-
 }  // namespace
 
 ReloadCrosscheck reload_crosscheck(const core::SignatureSet& corpus,
@@ -269,7 +260,8 @@ ReloadCrosscheck reload_crosscheck(const core::SignatureSet& corpus,
                                    std::uint64_t swaps) {
   const MergedBatch mb = merge_batch(batch);
   const std::vector<net::Packet>& merged = mb.packets;
-  const core::CompileOptions opts = reload_compile_options(cfg);
+  const core::CompileOptions opts =
+      core::compile_options(cfg.engine_config().fast);
 
   // Baseline: one engine, one rule-set version, the whole stream.
   std::vector<core::Alert> base_alerts;
@@ -349,7 +341,8 @@ std::vector<core::Alert> flood_replay(const core::SignatureSet& corpus,
                                       net::LinkType link, bool starved) {
   std::vector<core::Alert> alerts;
   const core::RuleSetHandle rules = core::compile_ruleset(
-      corpus, reload_compile_options(cfg), 1, "flood-crosscheck");
+      corpus, core::compile_options(cfg.engine_config().fast), 1,
+      "flood-crosscheck");
   core::SplitDetectEngine engine(rules, cfg.engine_config());
   slowpath::SlowPathService svc(rules, flood_slowpath_config(cfg, starved));
   engine.set_divert_sink(&svc);

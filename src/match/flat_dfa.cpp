@@ -6,40 +6,89 @@
 
 namespace sdt::match {
 
-FlatDfa::FlatDfa(const AhoCorasick& ac) {
-  const std::size_t n = ac.state_count();
-  if (n == 0) return;
+FlatDfa::FlatDfa(std::span<const Bytes> patterns)
+    : patterns_(patterns.size()) {
+  // Exact trie size up front: in sorted order each pattern adds one state
+  // per byte past its common prefix with its predecessor.
+  std::vector<ByteView> sorted(patterns.begin(), patterns.end());
+  std::sort(sorted.begin(), sorted.end(), [](ByteView a, ByteView b) {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  });
+  std::size_t n = 1;
+  ByteView prev;
+  for (const ByteView p : sorted) {
+    if (p.empty()) throw InvalidArgument("FlatDfa: empty pattern");
+    const auto lcp = std::mismatch(p.begin(), p.end(), prev.begin(),
+                                   prev.end()).first - p.begin();
+    n += p.size() - static_cast<std::size_t>(lcp);
+    prev = p;
+  }
   if (n > kMaxStates) {
     throw InvalidArgument("FlatDfa: too many states for packed encoding");
   }
   states_ = n;
-  trans_.resize(n * 256);
+
+  // Trie: trans_ starts as the goto function, (child << 8) per edge and 0
+  // for none (the root is nobody's child).
+  trans_.assign(n * 256, kRoot);
+  std::vector<std::vector<std::uint32_t>> out(n);
+  std::uint32_t fresh = 1;
+  for (std::uint32_t id = 0; id < patterns.size(); ++id) {
+    std::uint32_t s = 0;
+    for (const std::uint8_t b : patterns[id]) {
+      Entry& t = trans_[std::size_t{s} * 256 + b];
+      if (t == 0) t = Entry{fresh++} << 8;
+      s = state_of(t);
+    }
+    out[s].push_back(id);
+  }
+
+  // BFS closes the goto function into the DFA. A child's failure state is
+  // where its parent's failure state goes on the same byte, and the child
+  // inherits that state's outputs; a missing edge copies the failure
+  // state's row entry. Both read only shallower states, whose rows and
+  // output lists are already final.
+  std::vector<std::uint32_t> fail(n, 0);
+  std::vector<std::uint32_t> queue;
+  queue.reserve(n);
+  queue.push_back(0);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::uint32_t s = queue[head];
+    Entry* row = trans_.data() + std::size_t{s} * 256;
+    const Entry* fail_row = trans_.data() + std::size_t{fail[s]} * 256;
+    for (std::size_t b = 0; b < 256; ++b) {
+      if (row[b] == 0) {
+        if (s != 0) row[b] = fail_row[b];
+        continue;
+      }
+      const std::uint32_t c = state_of(row[b]);
+      if (s != 0) {
+        fail[c] = state_of(fail_row[b]);
+        const std::vector<std::uint32_t>& inherited = out[fail[c]];
+        out[c].insert(out[c].end(), inherited.begin(), inherited.end());
+        std::sort(out[c].begin(), out[c].end());
+      }
+      if (!out[c].empty()) row[b] |= kAcceptBit;
+      queue.push_back(c);
+    }
+  }
+
   out_begin_.resize(n + 1, 0);
   for (std::size_t s = 0; s < n; ++s) {
     out_begin_[s + 1] =
-        out_begin_[s] + static_cast<std::uint32_t>(ac.out_[s].size());
+        out_begin_[s] + static_cast<std::uint32_t>(out[s].size());
   }
   out_ids_.reserve(out_begin_[n]);
-  for (std::size_t s = 0; s < n; ++s) {
-    out_ids_.insert(out_ids_.end(), ac.out_[s].begin(), ac.out_[s].end());
+  for (const std::vector<std::uint32_t>& o : out) {
+    out_ids_.insert(out_ids_.end(), o.begin(), o.end());
   }
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::size_t base = s * 256;
-    for (std::size_t b = 0; b < 256; ++b) {
-      const AhoCorasick::State ns =
-          ac.step(static_cast<AhoCorasick::State>(s),
-                  static_cast<std::uint8_t>(b));
-      trans_[base + b] = (Entry{ns} << 8) | (ac.accepting(ns) ? kAcceptBit : 0);
-    }
-  }
-  root_ = (Entry{AhoCorasick::kRoot} << 8) |
-          (ac.accepting(AhoCorasick::kRoot) ? kAcceptBit : 0);
 }
 
 std::int64_t FlatDfa::first_match(ByteView data) const {
   if (states_ == 0) return -1;
   const Entry* table = trans_.data();
-  Entry e = root_;
+  Entry e = kRoot;
   for (std::uint8_t b : data) {
     e = table[(e & kRowMask) + b];
     if (e & kAcceptBit) return out_ids_[out_begin_[state_of(e)]];
@@ -76,10 +125,7 @@ void FlatDfa::contains_any_batch(const ByteView* data, std::size_t n,
       }
       ptr[w] = data[i].data();
       end[w] = ptr[w] + data[i].size();
-      cur[w] = root_;
-      // Seed 0, not root_ & kAcceptBit: the scalar contains_any never
-      // tests the root before consuming a byte, and batch must agree
-      // byte-for-byte even if a future automaton made the root accepting.
+      cur[w] = kRoot;
       acc[w] = 0;
       slot[w] = i;
       return true;

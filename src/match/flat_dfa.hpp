@@ -1,17 +1,23 @@
-// Flat, cache-interleaved dense DFA for the per-packet piece scan.
+// Multi-pattern exact string matching: the one automaton every scan runs on.
 //
-// The automaton is a re-encoding of a built AhoCorasick: one contiguous
-// row of 256 packed entries per state, where every entry carries the
-// *destination* row offset and the destination's accepting bit:
+// An Aho-Corasick automaton closed into a dense DFA, built straight from
+// the pattern trie and its failure links: one contiguous row of 256 packed
+// entries per state, where every entry carries the *destination* row
+// offset and the destination's accepting bit:
 //
 //   Entry = (state << 8) | flags        (bit 0 = accepting)
 //
 // Because the row stride is 256 and entries are 4 bytes, `state << 8` IS
 // the element offset of the destination row — the hot loop is exactly one
-// load and one bit test per byte, with no multiply, no layout branch, and
-// no second table probe for acceptance:
+// load and one bit test per byte, with no multiply and no second table
+// probe for acceptance:
 //
 //   e = trans[(e & kRowMask) + b];   hit |= e & kAcceptBit;
+//
+// The matcher is streaming: scan() resumes from a caller-held Entry, so the
+// conventional IPS matches across segment boundaries of a reassembled
+// stream while the Split-Detect fast path deliberately restarts at kRoot
+// for every packet (that is the point of the paper).
 //
 // contains_any_batch() walks up to kBatchWidth independent buffers in
 // lockstep so the (usually cache-missing) row loads of different lanes
@@ -19,15 +25,14 @@
 // "the automaton load is the bottleneck, so pipeline flows" argument.
 //
 // States are capped at 2^24 (flags get the low 8 bits); piece automata are
-// thousands of states, so the cap is generous. Builds from either source
-// layout, but costs node_count * 256 step() calls on a sparse source.
+// tens of thousands of states, so the cap is generous. Per-state output
+// lists live in a CSR array read only on the match-report path.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "match/aho_corasick.hpp"
 #include "util/bytes.hpp"
 
 namespace sdt::match {
@@ -38,37 +43,46 @@ class FlatDfa {
   using Entry = std::uint32_t;
   static constexpr Entry kAcceptBit = 1u;
   static constexpr Entry kRowMask = ~Entry{0xffu};
+  /// Cursor of the root state. The root never accepts (empty patterns are
+  /// rejected), so its entry is all zeros.
+  static constexpr Entry kRoot = 0;
   static constexpr std::size_t kMaxStates = std::size_t{1} << 24;
   /// Lanes walked per loop iteration by contains_any_batch.
   static constexpr std::size_t kBatchWidth = 8;
 
+  /// A pattern occurrence: pattern(id) ends at data[end_offset - 1].
+  struct Match {
+    std::uint32_t pattern_id;
+    std::size_t end_offset;
+  };
+
   FlatDfa() = default;
 
-  /// Re-encode a built automaton. Throws InvalidArgument when the source
-  /// exceeds kMaxStates.
-  explicit FlatDfa(const AhoCorasick& ac);
+  /// Build over `patterns`; pattern i is reported as id i. Duplicate byte
+  /// strings get distinct ids and are all reported. Throws InvalidArgument
+  /// on an empty pattern or when the trie exceeds kMaxStates.
+  explicit FlatDfa(std::span<const Bytes> patterns);
 
   bool empty() const { return states_ == 0; }
   std::size_t state_count() const { return states_; }
+  std::size_t pattern_count() const { return patterns_; }
   std::size_t memory_bytes() const;
-
-  /// Cursor for the root state (feed to advance()/scan()).
-  Entry root() const { return root_; }
 
   Entry advance(Entry e, std::uint8_t b) const {
     return trans_[(e & kRowMask) + b];
   }
   static bool accepting(Entry e) { return (e & kAcceptBit) != 0; }
-  static AhoCorasick::State state_of(Entry e) { return e >> 8; }
+  static std::uint32_t state_of(Entry e) { return e >> 8; }
 
   /// Pattern ids ending at state s (suffix outputs merged, ascending).
-  std::span<const std::uint32_t> outputs(AhoCorasick::State s) const {
+  std::span<const std::uint32_t> outputs(std::uint32_t s) const {
     return {out_ids_.data() + out_begin_[s],
             out_ids_.data() + out_begin_[s + 1]};
   }
 
-  /// Streaming scan from cursor `e`; on_match(AhoCorasick::Match) per
-  /// occurrence; returns the cursor after the last byte.
+  /// Streaming scan from cursor `e`; on_match(Match) per occurrence;
+  /// returns the cursor after the last byte (feed it back in to continue
+  /// the stream).
   template <typename Fn>
   Entry scan(ByteView data, Entry e, Fn&& on_match) const {
     if (states_ == 0) return e;  // default-constructed: matches nothing
@@ -77,16 +91,16 @@ class FlatDfa {
       e = table[(e & kRowMask) + data[i]];
       if (e & kAcceptBit) {
         for (std::uint32_t id : outputs(state_of(e))) {
-          on_match(AhoCorasick::Match{id, i + 1});
+          on_match(Match{id, i + 1});
         }
       }
     }
     return e;
   }
 
-  std::vector<AhoCorasick::Match> find_all(ByteView data) const {
-    std::vector<AhoCorasick::Match> ms;
-    scan(data, root_, [&](AhoCorasick::Match m) { ms.push_back(m); });
+  std::vector<Match> find_all(ByteView data) const {
+    std::vector<Match> ms;
+    scan(data, kRoot, [&](Match m) { ms.push_back(m); });
     return ms;
   }
 
@@ -94,7 +108,7 @@ class FlatDfa {
   bool contains_any(ByteView data) const {
     if (states_ == 0) return false;
     const Entry* table = trans_.data();
-    Entry e = root_;
+    Entry e = kRoot;
     for (std::uint8_t b : data) {
       e = table[(e & kRowMask) + b];
       if (e & kAcceptBit) return true;
@@ -114,7 +128,7 @@ class FlatDfa {
 
  private:
   std::size_t states_ = 0;
-  Entry root_ = 0;
+  std::size_t patterns_ = 0;
   std::vector<Entry> trans_;            // states_ * 256 packed entries
   std::vector<std::uint32_t> out_ids_;  // CSR outputs (report path only)
   std::vector<std::uint32_t> out_begin_;

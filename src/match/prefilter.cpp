@@ -109,13 +109,11 @@ std::uint64_t candidates16_neon(const std::uint8_t* p,
 
 }  // namespace
 
-Prefilter::Prefilter(const AhoCorasick& ac) {
-  const std::size_t count = ac.pattern_count();
-  if (count == 0) return;
+Prefilter::Prefilter(std::span<const Bytes> patterns) {
+  if (patterns.empty()) return;
   pair_.assign(1024, 0);
   bool all_long_enough = true;
-  for (std::uint32_t id = 0; id < count; ++id) {
-    const ByteView p = ac.pattern(id);
+  for (const ByteView p : patterns) {
     max_len_ = std::max(max_len_, p.size());
     if (p.size() < 2) {
       all_long_enough = false;

@@ -20,9 +20,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "match/aho_corasick.hpp"
 #include "util/bytes.hpp"
 
 namespace sdt::match {
@@ -37,8 +37,8 @@ class Prefilter {
  public:
   Prefilter() = default;
 
-  /// Compile from the pattern set of a built automaton.
-  explicit Prefilter(const AhoCorasick& ac);
+  /// Compile from the pattern list the exact automaton is built over.
+  explicit Prefilter(std::span<const Bytes> patterns);
 
   /// False when the set cannot be prefiltered (no patterns, or a pattern
   /// shorter than 2 bytes): the caller must scan everything itself.

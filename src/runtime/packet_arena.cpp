@@ -30,13 +30,13 @@ std::uint32_t PacketArena::try_borrow() {
     exhausted_.fetch_add(1, std::memory_order_relaxed);
     return kNoSlot;
   }
-  const std::uint64_t b =
-      borrows_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Occupancy as the borrower sees it. `recycles_` may lag reality, so this
-  // only ever over-estimates — safe for a high-water stat (same discipline
-  // as the ring's producer-side watermark).
-  const std::size_t occ = static_cast<std::size_t>(
-      b - recycles_.load(std::memory_order_relaxed));
+  borrows_.fetch_add(1, std::memory_order_relaxed);
+  // Occupancy after this pop: the slots not on the free list. The borrower
+  // is the free list's only consumer, so the depth it reads can only lag
+  // recycles in flight, and the gauge never exceeds the pool. (Counter
+  // differences would over-count: recycle() bumps recycles_ after its
+  // pushes are visible.)
+  const std::size_t occ = slots_ - free_.size();
   if (occ > high_water_.load(std::memory_order_relaxed)) {
     high_water_.store(occ, std::memory_order_relaxed);
   }

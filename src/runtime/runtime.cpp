@@ -31,20 +31,8 @@ core::SplitDetectConfig make_lane_config(const RuntimeConfig& cfg) {
 
 }  // namespace
 
-namespace {
-
-core::CompileOptions lane_compile_options(const core::SplitDetectConfig& e) {
-  core::CompileOptions opts;
-  opts.piece_len = e.fast.piece_len;
-  opts.layout = e.fast.layout;
-  opts.piece_phase_sample = e.fast.piece_phase_sample;
-  return opts;
-}
-
-}  // namespace
-
 Runtime::Runtime(const core::SignatureSet& sigs, RuntimeConfig cfg)
-    : Runtime(core::compile_ruleset(sigs, lane_compile_options(cfg.engine)),
+    : Runtime(core::compile_ruleset(sigs, core::compile_options(cfg.engine.fast)),
               cfg) {}
 
 Runtime::Runtime(core::RuleSetHandle rules, RuntimeConfig cfg)

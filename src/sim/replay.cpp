@@ -25,21 +25,20 @@ std::vector<std::uint32_t> ConventionalDetector::alerted_signatures() const {
 
 NaivePerPacketDetector::NaivePerPacketDetector(const core::SignatureSet& sigs)
     : seen_(sigs.size(), false) {
-  match::AhoCorasick::Builder b;
-  for (const core::Signature& s : sigs) b.add(s.bytes);
-  ac_ = b.build(match::AcLayout::dense_dfa);
+  std::vector<Bytes> patterns;
+  for (const core::Signature& s : sigs) patterns.push_back(s.bytes);
+  dfa_ = match::FlatDfa(patterns);
 }
 
 std::size_t NaivePerPacketDetector::process(const net::PacketView& pv,
                                             std::uint64_t /*now_usec*/) {
   if (!pv.ok() || pv.l4_payload.empty()) return 0;
   std::size_t n = 0;
-  ac_.scan(pv.l4_payload, match::AhoCorasick::kRoot,
-           [&](match::AhoCorasick::Match m) {
-             ++alerts_;
-             ++n;
-             seen_[m.pattern_id] = true;
-           });
+  dfa_.scan(pv.l4_payload, match::FlatDfa::kRoot, [&](match::FlatDfa::Match m) {
+    ++alerts_;
+    ++n;
+    seen_[m.pattern_id] = true;
+  });
   return n;
 }
 

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "match/aho_corasick.hpp"
+#include "match/flat_dfa.hpp"
 #include "net/packet.hpp"
 
 namespace sdt::sim {
@@ -113,7 +113,7 @@ class NaivePerPacketDetector final : public Detector {
   std::size_t flow_state_bytes() const override { return 0; }
 
  private:
-  match::AhoCorasick ac_;
+  match::FlatDfa dfa_;
   std::uint64_t alerts_ = 0;
   std::vector<bool> seen_;
 };

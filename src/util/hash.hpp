@@ -1,5 +1,5 @@
-// Non-cryptographic hashing used by flow tables and the Aho-Corasick sparse
-// transition map. Deterministic across runs so trace experiments reproduce.
+// Non-cryptographic hashing used by flow tables and lane dispatch.
+// Deterministic across runs so trace experiments reproduce.
 #pragma once
 
 #include <cstddef>

@@ -57,6 +57,58 @@ TEST(ConventionalIps, DetectsSignatureSplitAcrossSegments) {
   EXPECT_EQ(alerts[0].signature_id, 0u);
 }
 
+TEST(ConventionalIps, DetectsSignatureAtEverySegmentSize) {
+  // Every segment size from 1 byte up to the whole signature: the stream
+  // cursor carries each partial match across every possible boundary.
+  const SignatureSet sigs = test_sigs();
+  const Bytes stream = to_bytes("xMALICIOUS_PAYLOAD_MARKERx");
+  for (std::size_t mss = 1; mss <= stream.size(); ++mss) {
+    ConventionalIps ips(sigs);
+    const auto alerts = run(ips, forge_plain_flow(stream, mss));
+    ASSERT_EQ(alerts.size(), 1u) << "mss " << mss;
+    EXPECT_EQ(alerts[0].signature_id, 0u) << "mss " << mss;
+    EXPECT_EQ(alerts[0].stream_offset, stream.size() - 1) << "mss " << mss;
+  }
+}
+
+TEST(ConventionalIps, DetectsSignatureSentByServer) {
+  const SignatureSet sigs = test_sigs();
+  ConventionalIps ips(sigs);
+  evasion::FlowForge f(evasion::Endpoints{}, 1000);
+  f.handshake();
+  f.server_data(to_bytes("response ANOTHER_BAD_STRING!! body"), 6);
+  f.close();
+  const auto alerts = run(ips, f.take());
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts[0].signature_id, 1u);
+}
+
+TEST(ConventionalIps, DirectionsKeepSeparateCursors) {
+  // Client and server bytes are two streams, each with its own cursor: the
+  // server's "LOAD_MARKER" does not complete the client's "MALICIOUS_PAY",
+  // and it does not reset the client's partial match either.
+  const SignatureSet sigs = test_sigs();
+  ConventionalIps ips(sigs);
+  evasion::FlowForge f(evasion::Endpoints{}, 1000);
+  f.handshake();
+  evasion::Seg head;
+  head.data = to_bytes("MALICIOUS_PAY");
+  f.client_segment(head);
+  f.server_data(to_bytes("LOAD_MARKER"), 1460);
+  std::vector<Alert> alerts = run(ips, f.take());
+  EXPECT_TRUE(alerts.empty());
+
+  evasion::Seg tail;
+  tail.rel_off = head.data.size();
+  tail.data = to_bytes("LOAD_MARKER");
+  f.client_segment(tail);
+  f.close();
+  alerts = run(ips, f.take());
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts[0].signature_id, 0u);
+  EXPECT_EQ(alerts[0].stream_offset, head.data.size() + tail.data.size());
+}
+
 TEST(ConventionalIps, ReportsStreamOffset) {
   const SignatureSet sigs = test_sigs();
   ConventionalIps ips(sigs);

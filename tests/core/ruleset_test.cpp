@@ -6,6 +6,7 @@
 
 #include "core/conventional_ips.hpp"
 #include "core/engine.hpp"
+#include "core/fast_path.hpp"
 #include "evasion/flow_forge.hpp"
 #include "util/error.hpp"
 
@@ -117,6 +118,30 @@ TEST(CompiledRuleSet, AlertsCarryEverySidOfSharedContent) {
   std::sort(sids.begin(), sids.end());
   sids.erase(std::unique(sids.begin(), sids.end()), sids.end());
   EXPECT_EQ(sids, (std::vector<std::uint32_t>{0, 1}));
+}
+
+TEST(CompiledRuleSet, CompileOptionsFollowTheFastPathConfig) {
+  FastPathConfig cfg;
+  cfg.piece_len = 6;
+  cfg.piece_phase_sample = to_bytes("benign sample bytes");
+  const CompileOptions opts = compile_options(cfg);
+  EXPECT_EQ(opts.piece_len, 6u);
+  EXPECT_EQ(opts.piece_phase_sample, cfg.piece_phase_sample);
+  EXPECT_FALSE(opts.drop_short_signatures);  // startup stays loud
+  EXPECT_EQ(compile_ruleset(duped_sigs(), opts)->piece_len(), 6u);
+}
+
+TEST(CompiledRuleSet, FullMatcherMapsEverySignatureBackToItsSid) {
+  const RuleSetHandle rs = compile_ruleset(duped_sigs(), CompileOptions{});
+  const SignatureSet& sigs = rs->signatures();
+  for (std::uint32_t sid = 0; sid < sigs.size(); ++sid) {
+    const std::int64_t pid = rs->full_matcher().first_match(sigs[sid].bytes);
+    ASSERT_GE(pid, 0) << sigs[sid].name;
+    const auto sids = rs->sids_for_pattern(static_cast<std::uint32_t>(pid));
+    EXPECT_NE(std::find(sids.begin(), sids.end(), sid), sids.end())
+        << sigs[sid].name;
+  }
+  EXPECT_EQ(rs->full_matcher().first_match(to_bytes("nothing to see")), -1);
 }
 
 TEST(CompiledRuleSet, ShortSignaturePolicy) {

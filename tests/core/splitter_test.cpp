@@ -74,8 +74,9 @@ TEST(PieceSet, MapsMatcherIdsBackToSignatures) {
   EXPECT_EQ(ps.piece(1).offset, 4u);
   EXPECT_EQ(ps.piece(2).signature_id, 1u);
   EXPECT_EQ(ps.piece(4).offset, 6u);
-  // The matcher's patterns are the piece bytes.
-  EXPECT_EQ(sdt::to_string(ps.matcher().pattern(4)), "6789");
+  // The automaton's patterns are the piece bytes, in piece order.
+  EXPECT_EQ(ps.pattern_count(), 5u);
+  EXPECT_EQ(ps.flat().first_match(to_bytes("6789")), 4);
 }
 
 TEST(PieceSet, MatcherFindsEveryPieceInItsSignature) {
@@ -83,7 +84,7 @@ TEST(PieceSet, MatcherFindsEveryPieceInItsSignature) {
   const PieceSet ps(sigs, 8);
   for (const Signature& s : sigs) {
     // Every signature must trip the piece matcher when seen whole.
-    EXPECT_TRUE(ps.matcher().contains_any(s.bytes)) << s.name;
+    EXPECT_TRUE(ps.flat().contains_any(s.bytes)) << s.name;
   }
 }
 
@@ -102,6 +103,31 @@ TEST(PieceSet, MemoryGrowsWithPatternCount) {
   }
   EXPECT_GT(PieceSet(distinct, 8).memory_bytes(),
             PieceSet(one, 8).memory_bytes());
+}
+
+TEST(PieceSet, FootprintIsOneAutomatonPlusMappings) {
+  const SignatureSet sigs = evasion::default_corpus(/*min_len=*/16);
+  const PieceSet ps(sigs, 8);
+  // Automaton + prefilter + (signature, offset) mappings: no second copy
+  // of the piece automaton hides in the footprint.
+  const std::size_t mappings =
+      ps.memory_bytes() - ps.flat().memory_bytes() - ps.prefilter().memory_bytes();
+  EXPECT_LT(mappings, ps.flat().memory_bytes() / 4);
+  EXPECT_GE(mappings, ps.piece_count() * sizeof(Piece));
+}
+
+TEST(PieceSet, PrefilterPassesEveryPiece) {
+  const SignatureSet sigs = evasion::default_corpus(/*min_len=*/16);
+  const PieceSet ps(sigs, 8);
+  ASSERT_TRUE(ps.prefilter().usable());
+  EXPECT_EQ(ps.prefilter().max_pattern_len(), 8u);
+  for (std::uint32_t id = 0; id < ps.pattern_count(); ++id) {
+    const Piece& p = ps.piece(id);
+    const ByteView bytes =
+        ByteView(sigs[p.signature_id].bytes).subspan(p.offset, ps.piece_len());
+    EXPECT_TRUE(ps.prefilter().may_contain(bytes)) << "pattern " << id;
+    EXPECT_TRUE(ps.flat().contains_any(bytes)) << "pattern " << id;
+  }
 }
 
 }  // namespace

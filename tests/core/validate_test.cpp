@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/fast_path.hpp"
+#include "core/splitter.hpp"
 #include "evasion/corpus.hpp"
 #include "evasion/traffic_gen.hpp"
+#include "flow/flow_table.hpp"
 #include "util/rng.hpp"
 
 namespace sdt::core {
@@ -29,6 +34,36 @@ TEST(Validate, CleanConfigurationPasses) {
   EXPECT_FALSE(has_issue(r, Severity::warning, "min_ttl"));
   EXPECT_GT(r.piece_count, sigs.size());
   EXPECT_GT(r.matcher_bytes, 0u);
+}
+
+TEST(Validate, FlowStateEstimateIsARealTablesFootprint) {
+  SplitDetectConfig cfg;
+  cfg.fast.piece_len = 8;
+  const ConfigReport r = validate_config(evasion::default_corpus(32), cfg);
+
+  // Fill a real fast-path table and measure it the way E2 does.
+  constexpr std::size_t kFlows = 1 << 14;
+  const flow::FlowTable<FastFlowState>::Config tc{
+      .max_flows = kFlows,
+      .idle_timeout_usec = cfg.fast.flow_idle_timeout_usec,
+      .linger_usec = cfg.fast.fin_linger_usec};
+  flow::FlowTable<FastFlowState> table(tc);
+  for (std::uint32_t n = 0; n < kFlows; ++n) {
+    flow::FlowKey k;
+    k.a_ip = net::Ipv4Addr(0x0a000000u + n);
+    k.b_ip = net::Ipv4Addr(0xc0a80001u);
+    k.a_port = static_cast<std::uint16_t>(1024 + (n & 0x7fff));
+    k.b_port = 80;
+    k.proto = 6;
+    table.get_or_create(k, 0);
+  }
+  ASSERT_EQ(table.size(), kFlows);
+  EXPECT_EQ(table.memory_bytes(),
+            flow::FlowTable<FastFlowState>::footprint_bytes(tc));
+  // At 1M flows only the index's power-of-two rounding differs from this
+  // table (8.4 vs 8 B/flow), so the estimate per flow is this table's
+  // measured bytes_per_flow to within a byte.
+  EXPECT_NEAR(r.est_fast_state_bytes_1m / 1e6, table.bytes_per_flow(), 1.0);
 }
 
 TEST(Validate, EmptySignatureSetIsError) {
@@ -107,6 +142,25 @@ TEST(Validate, SampleDrivesHitEstimateAndSuggestion) {
   const ConfigReport r = validate_config(sigs, cfg, sample);
   EXPECT_GT(r.piece_hits_per_mb, 10.0);
   EXPECT_TRUE(has_issue(r, Severity::warning, "phase-optimized"));
+}
+
+TEST(Validate, HitEstimateCountsEveryPieceOccurrence) {
+  // The doctor scans the sample with the fast path's own piece automaton:
+  // three planted copies of one piece are three hits, and the reported
+  // matcher size is that PieceSet's footprint.
+  SignatureSet sigs;
+  sigs.add("hot", std::string_view("abcdefghHOTPIECEijklmnopqrstuvwxy"));
+  SplitDetectConfig cfg;
+  cfg.fast.piece_len = 8;
+  Bytes sample(1000, '.');
+  const Bytes piece = to_bytes("HOTPIECE");
+  for (const std::size_t at : {100u, 400u, 900u}) {
+    std::copy(piece.begin(), piece.end(),
+              sample.begin() + static_cast<std::ptrdiff_t>(at));
+  }
+  const ConfigReport r = validate_config(sigs, cfg, sample);
+  EXPECT_DOUBLE_EQ(r.piece_hits_per_mb, 3.0 * 1e6 / 1000.0);
+  EXPECT_EQ(r.matcher_bytes, PieceSet(sigs, 8).memory_bytes());
 }
 
 TEST(Validate, QuietSampleNoHitWarning) {

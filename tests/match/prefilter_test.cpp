@@ -11,17 +11,18 @@
 #include <algorithm>
 
 #include "evasion/corpus.hpp"
-#include "match/aho_corasick.hpp"
 #include "match/flat_dfa.hpp"
 #include "util/rng.hpp"
 
 namespace sdt::match {
 namespace {
 
-AhoCorasick corpus_ac() {
-  AhoCorasick::Builder b;
-  for (const core::Signature& s : evasion::default_corpus()) b.add(s.bytes);
-  return b.build(AcLayout::dense_dfa);
+std::vector<Bytes> corpus_patterns() {
+  std::vector<Bytes> patterns;
+  for (const core::Signature& s : evasion::default_corpus()) {
+    patterns.push_back(s.bytes);
+  }
+  return patterns;
 }
 
 /// Staged verdict: scan only the prefilter's windows with the exact
@@ -37,24 +38,29 @@ bool staged_contains(const Prefilter& pre, const FlatDfa& f, ByteView data,
 }
 
 TEST(Prefilter, UnusableOnShortPatterns) {
-  AhoCorasick::Builder b;
-  b.add(to_bytes("x"));  // 1-byte pattern: no 2-byte prefix to key on
-  b.add(to_bytes("longer"));
-  const Prefilter pre(b.build(AcLayout::dense_dfa));
+  // A 1-byte pattern has no 2-byte prefix to key on.
+  const std::vector<Bytes> patterns = {to_bytes("x"), to_bytes("longer")};
+  const Prefilter pre(patterns);
   EXPECT_FALSE(pre.usable());
 }
 
+TEST(Prefilter, UnusableOnEmptyPatternList) {
+  const Prefilter pre(std::vector<Bytes>{});
+  EXPECT_FALSE(pre.usable());
+  EXPECT_EQ(pre.max_pattern_len(), 0u);
+}
+
 TEST(Prefilter, UsableOnCorpusAndNamesAKernel) {
-  const AhoCorasick ac = corpus_ac();
-  const Prefilter pre(ac);
+  const Prefilter pre(corpus_patterns());
   EXPECT_TRUE(pre.usable());
   EXPECT_NE(pre.kernel_name(), nullptr);
   EXPECT_GE(pre.max_pattern_len(), 2u);
 }
 
 TEST(Prefilter, WindowsCoverEveryTrueOccurrence) {
-  const AhoCorasick ac = corpus_ac();
-  const Prefilter pre(ac);
+  const std::vector<Bytes> patterns = corpus_patterns();
+  const FlatDfa f(patterns);
+  const Prefilter pre(patterns);
   ASSERT_TRUE(pre.usable());
   const core::SignatureSet corpus = evasion::default_corpus();
 
@@ -75,28 +81,27 @@ TEST(Prefilter, WindowsCoverEveryTrueOccurrence) {
     }
     // Recompute true occurrences on the final buffer (planting shifts
     // earlier plants; scanning is the only reliable ground truth).
-    std::vector<AhoCorasick::Match> ms = ac.find_all(hay);
+    std::vector<FlatDfa::Match> ms = f.find_all(hay);
 
     wins.clear();
     pre.windows(ByteView(hay), wins);
-    for (const AhoCorasick::Match& m : ms) {
-      const std::size_t start =
-          m.end_offset - ac.pattern(m.pattern_id).size();
+    for (const FlatDfa::Match& m : ms) {
+      const std::size_t start = m.end_offset - patterns[m.pattern_id].size();
       const bool covered =
           std::any_of(wins.begin(), wins.end(), [&](const PrefilterWindow& w) {
             return w.begin <= start && start < w.end &&
                    m.end_offset <= w.end;
           });
       EXPECT_TRUE(covered) << "trial " << trial << " occurrence at " << start
-                           << " len " << ac.pattern(m.pattern_id).size();
+                           << " len " << patterns[m.pattern_id].size();
     }
   }
 }
 
 TEST(Prefilter, StagedVerdictEqualsFullScan) {
-  const AhoCorasick ac = corpus_ac();
-  const Prefilter pre(ac);
-  const FlatDfa f(ac);
+  const std::vector<Bytes> patterns = corpus_patterns();
+  const Prefilter pre(patterns);
+  const FlatDfa f(patterns);
   ASSERT_TRUE(pre.usable());
   const core::SignatureSet corpus = evasion::default_corpus();
 
@@ -131,12 +136,9 @@ TEST(Prefilter, CandidatesAreExactPairPrefixes) {
   // a position whose 2-byte pair is a real pattern prefix — the SIMD
   // kernels may over-approximate classes but the pair bitmap is exact, so
   // the count must equal the brute-force count regardless of kernel.
-  AhoCorasick::Builder b;
-  b.add(to_bytes("abXY"));
-  b.add(from_hex("54cf1122"));
-  b.add(to_bytes("zzz"));
-  const AhoCorasick ac = b.build(AcLayout::dense_dfa);
-  const Prefilter pre(ac);
+  const std::vector<Bytes> patterns = {to_bytes("abXY"), from_hex("54cf1122"),
+                                       to_bytes("zzz")};
+  const Prefilter pre(patterns);
   ASSERT_TRUE(pre.usable());
 
   Rng rng(29);
@@ -166,10 +168,8 @@ TEST(Prefilter, CandidatesAreExactPairPrefixes) {
 }
 
 TEST(Prefilter, WindowsAreMergedAndOrdered) {
-  AhoCorasick::Builder b;
-  b.add(to_bytes("abcdef"));
-  const AhoCorasick ac = b.build(AcLayout::dense_dfa);
-  const Prefilter pre(ac);
+  const std::vector<Bytes> patterns = {to_bytes("abcdef")};
+  const Prefilter pre(patterns);
   const Bytes hay = to_bytes("ababab----------ab--");
   std::vector<PrefilterWindow> wins;
   pre.windows(ByteView(hay), wins);

@@ -115,6 +115,26 @@ TEST(PacketArena, HeapFallbackCounterIsBorrowerBookkeeping) {
   EXPECT_NE(a.try_borrow(), PacketArena::kNoSlot);
 }
 
+TEST(PacketArena, HighWaterIsPeakOccupancyAcrossRefills) {
+  PacketArena a(small_cfg(8));
+  std::vector<std::uint32_t> ids;
+  for (int round = 0; round < 3; ++round) {
+    while (ids.size() < 8) {
+      const std::uint32_t s = a.try_borrow();
+      ASSERT_NE(s, PacketArena::kNoSlot);
+      ids.push_back(s);
+    }
+    EXPECT_EQ(a.try_borrow(), PacketArena::kNoSlot);
+    EXPECT_EQ(a.stats().high_water, 8u);
+    // Drain part of the pool and refill it: the peak stays at the pool
+    // size and never counts past it.
+    a.recycle(ids.data(), 5);
+    ids.erase(ids.begin(), ids.begin() + 5);
+    EXPECT_EQ(a.stats().outstanding(), 3u);
+  }
+  EXPECT_EQ(a.stats().high_water, 8u);
+}
+
 TEST(PacketArena, BorrowerRecyclerThreadHandoff) {
   // The runtime's exact shape: one thread borrows and writes slabs, the
   // other reads them and recycles, with a plain SPSC ring in between. Each

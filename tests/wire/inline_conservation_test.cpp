@@ -77,7 +77,9 @@ TEST(InlineConservation, HoldsAcrossLaneThreads) {
   rc.lanes = 4;
   RouterConfig rcfg;
   rcfg.latency_budget_us = 60'000'000;
-  const RunResult r = run(cap, rcfg, rc, /*repeat=*/3);
+  // Paced: an unpaced feeder outruns four lanes on a loaded host and sheds
+  // on hold overflow, which is a property of the feeder, not of the law.
+  const RunResult r = run(cap, rcfg, rc, /*repeat=*/3, /*pace=*/true);
   EXPECT_TRUE(r.wire.conserved());
   EXPECT_GT(r.wire.captured, 0u);
   EXPECT_EQ(r.wire.shed, 0u);
