@@ -9,9 +9,12 @@
 //   staged                prefilter windows -> flat DFA over the windows
 //                         (what FastPath actually runs per payload)
 //
-// Two workloads: clean (signature-free — the common case the prefilter is
-// built to make cheap) and dirty (signature pieces planted — the staged
-// path must fall back to real scanning). All kernels return identical
+// Two rule bases: the default corpus at p = 8 (a cache-resident
+// automaton) and a clean_bulk-shaped binary base at p = 16 (tens of MiB of
+// rows, so cache and TLB misses set the cost). Two payloads each: clean
+// (signature-free — the common case the prefilter is built to make cheap)
+// and dirty (signature pieces planted — the staged path must fall back to
+// real scanning). All kernels return identical
 // verdicts; only cost may differ. That identity is enforced by
 // tests/match/* (ctest -L match); this bench only times it.
 #include <chrono>
@@ -63,111 +66,134 @@ int main(int argc, char** argv) {
                 "the fast path's per-byte budget: flat DFA + batch + SIMD "
                 "prefilter, kernel by kernel (feeds E3/E6)");
 
-  const core::SignatureSet sigs = evasion::default_corpus(16);
-  const std::size_t piece_len = 8;
-  const core::PieceSet pieces(sigs, piece_len);
-  const match::FlatDfa& flat = pieces.flat();
-  const match::Prefilter& pre = pieces.prefilter();
-
-  // Clean: random bytes (binary, worst case for byte-class prefilters).
-  // Dirty: the same payload with a signature piece planted every ~4 KiB,
-  // so candidate windows and real DFA work dominate.
-  Rng rng(31);
-  const std::size_t mb = opt.sized(1 << 20, 1 << 18);
-  const Bytes clean = evasion::generate_payload(rng, mb, 0.0);
-  Bytes dirty = clean;
-  for (std::size_t off = 2048; off + piece_len < dirty.size(); off += 4096) {
-    const core::Signature& s =
-        sigs[static_cast<std::uint32_t>(rng.below(sigs.size()))];
-    std::copy(s.bytes.begin(),
-              s.bytes.begin() + static_cast<std::ptrdiff_t>(piece_len),
-              dirty.begin() + static_cast<std::ptrdiff_t>(off));
+  // Two rule bases. `corpus` is the default corpus at p = 8: a few
+  // thousand states, the automaton fits in L2. `bulk` is shaped like
+  // inlinebench's clean_bulk: the corpus (>= 32 B) plus 500 random binary
+  // signatures of 32-120 B at p = 16, tens of thousands of 1 KiB rows, so
+  // the walk is bound by cache and TLB misses.
+  const core::SignatureSet corpus = evasion::default_corpus(16);
+  core::SignatureSet bulk = evasion::default_corpus(32);
+  Rng rule_rng(16);
+  for (int k = 0; k < 500; ++k) {
+    const auto len = static_cast<std::size_t>(rule_rng.range(32, 120));
+    bulk.add("bulk-random-" + std::to_string(k), rule_rng.random_bytes(len));
   }
 
+  const std::size_t mb = opt.sized(1 << 20, 1 << 18);
   const std::size_t runs = opt.runs(9, 3);
-  std::printf("prefilter kernel: %s   segments: 1460 B   payload: %s\n\n",
-              pre.kernel_name(),
-              human_bytes(static_cast<double>(mb)).c_str());
-  std::printf("%-12s | %18s | %18s\n", "kernel", "clean ns/B", "dirty ns/B");
-  std::printf("-------------+--------------------+-------------------\n");
-
   std::vector<match::PrefilterWindow> wins;
   std::vector<std::uint8_t> hits;
-  const auto bench_one = [&](const char* name, auto&& scan_all) {
-    const auto time = [&](const Bytes& data) {
-      const std::vector<ByteView> segs = segments(data);
-      hits.assign(segs.size(), 0);
-      return bench::repeat(runs, [&] {
-        return ns_per_byte(data, [&] { scan_all(segs); });
-      });
-    };
-    const bench::Repeated c = time(clean);
-    const bench::Repeated d = time(dirty);
-    std::printf("%-12s | %18s | %18s\n", name, bench::pm(c, "%.3f").c_str(),
-                bench::pm(d, "%.3f").c_str());
-    rep.metric(std::string(name) + ".clean_ns_per_byte", c, "ns/byte");
-    rep.metric(std::string(name) + ".dirty_ns_per_byte", d, "ns/byte");
-  };
 
-  bench_one("flat_dfa", [&](const std::vector<ByteView>& segs) {
-    bool any = false;
-    for (const ByteView s : segs) any |= flat.contains_any(s);
-    keep(any ? 1 : 0);
-  });
-  bench_one("flat_batch", [&](const std::vector<ByteView>& segs) {
-    flat.contains_any_batch(segs.data(), segs.size(), hits.data());
-    keep(hits.empty() ? 0u : hits[0]);
-  });
-  bench_one("prefilter", [&](const std::vector<ByteView>& segs) {
-    std::size_t cands = 0;
-    for (const ByteView s : segs) {
-      wins.clear();
-      cands += pre.windows(s, wins);
+  // Metric names carry the rule base as a prefix, except for `corpus`,
+  // whose names predate the second rule base.
+  const auto sweep = [&](const char* label, const core::SignatureSet& sigs,
+                         std::size_t piece_len, const std::string& prefix) {
+    const core::PieceSet pieces(sigs, piece_len);
+    const match::FlatDfa& flat = pieces.flat();
+    const match::Prefilter& pre = pieces.prefilter();
+
+    // Clean: random bytes (binary, worst case for byte-class prefilters).
+    // Dirty: the same payload with a signature piece planted every ~4 KiB,
+    // so candidate windows and real DFA work dominate.
+    Rng rng(31);
+    const Bytes clean = evasion::generate_payload(rng, mb, 0.0);
+    Bytes dirty = clean;
+    for (std::size_t off = 2048; off + piece_len < dirty.size(); off += 4096) {
+      const core::Signature& s =
+          sigs[static_cast<std::uint32_t>(rng.below(sigs.size()))];
+      std::copy(s.bytes.begin(),
+                s.bytes.begin() + static_cast<std::ptrdiff_t>(piece_len),
+                dirty.begin() + static_cast<std::ptrdiff_t>(off));
     }
-    keep(cands);
-  });
-  bench_one("staged", [&](const std::vector<ByteView>& segs) {
-    bool any = false;
-    for (const ByteView s : segs) {
-      wins.clear();
-      pre.windows(s, wins);
-      for (const match::PrefilterWindow& w : wins) {
-        if (flat.contains_any(s.subspan(w.begin, w.end - w.begin))) {
-          any = true;
-          break;
+
+    std::printf("rule base %s: %zu signatures, p = %zu, %zu states, %s\n",
+                label, sigs.size(), piece_len, flat.state_count(),
+                human_bytes(static_cast<double>(flat.memory_bytes())).c_str());
+    std::printf("prefilter kernel: %s   segments: 1460 B   payload: %s\n\n",
+                pre.kernel_name(),
+                human_bytes(static_cast<double>(mb)).c_str());
+    std::printf("%-12s | %18s | %18s\n", "kernel", "clean ns/B", "dirty ns/B");
+    std::printf("-------------+--------------------+-------------------\n");
+
+    const auto bench_one = [&](const char* name, auto&& scan_all) {
+      const auto time = [&](const Bytes& data) {
+        const std::vector<ByteView> segs = segments(data);
+        hits.assign(segs.size(), 0);
+        return bench::repeat(runs, [&] {
+          return ns_per_byte(data, [&] { scan_all(segs); });
+        });
+      };
+      const bench::Repeated c = time(clean);
+      const bench::Repeated d = time(dirty);
+      std::printf("%-12s | %18s | %18s\n", name, bench::pm(c, "%.3f").c_str(),
+                  bench::pm(d, "%.3f").c_str());
+      rep.metric(prefix + name + ".clean_ns_per_byte", c, "ns/byte");
+      rep.metric(prefix + name + ".dirty_ns_per_byte", d, "ns/byte");
+    };
+
+    bench_one("flat_dfa", [&](const std::vector<ByteView>& segs) {
+      bool any = false;
+      for (const ByteView s : segs) any |= flat.contains_any(s);
+      keep(any ? 1 : 0);
+    });
+    bench_one("flat_batch", [&](const std::vector<ByteView>& segs) {
+      flat.contains_any_batch(segs.data(), segs.size(), hits.data());
+      keep(hits.empty() ? 0u : hits[0]);
+    });
+    bench_one("prefilter", [&](const std::vector<ByteView>& segs) {
+      std::size_t cands = 0;
+      for (const ByteView s : segs) {
+        wins.clear();
+        cands += pre.windows(s, wins);
+      }
+      keep(cands);
+    });
+    bench_one("staged", [&](const std::vector<ByteView>& segs) {
+      bool any = false;
+      for (const ByteView s : segs) {
+        wins.clear();
+        pre.windows(s, wins);
+        for (const match::PrefilterWindow& w : wins) {
+          if (flat.contains_any(s.subspan(w.begin, w.end - w.begin))) {
+            any = true;
+            break;
+          }
         }
       }
-    }
-    keep(any ? 1 : 0);
-  });
+      keep(any ? 1 : 0);
+    });
 
-  // Context the numbers need: how much of the payload the staged path
-  // actually hands to the exact scanner.
-  const auto exact_bytes = [&](const Bytes& data) {
-    std::size_t total = 0;
-    for (const ByteView s : segments(data)) {
-      wins.clear();
-      pre.windows(s, wins);
-      for (const match::PrefilterWindow& w : wins) total += w.end - w.begin;
-    }
-    return total;
+    // Context the numbers need: how much of the payload the staged path
+    // actually hands to the exact scanner.
+    const auto exact_fraction = [&](const Bytes& data) {
+      std::size_t total = 0;
+      for (const ByteView s : segments(data)) {
+        wins.clear();
+        pre.windows(s, wins);
+        for (const match::PrefilterWindow& w : wins) total += w.end - w.begin;
+      }
+      return static_cast<double>(total) / static_cast<double>(data.size());
+    };
+    const double clean_frac = exact_fraction(clean);
+    const double dirty_frac = exact_fraction(dirty);
+    std::printf(
+        "\nexact-scan fraction after prefilter: clean %.4f, dirty %.4f\n\n",
+        clean_frac, dirty_frac);
+    rep.metric(prefix + "prefilter.clean_exact_fraction", clean_frac,
+               "fraction");
+    rep.metric(prefix + "prefilter.dirty_exact_fraction", dirty_frac,
+               "fraction");
   };
-  const std::size_t clean_exact = exact_bytes(clean);
-  const std::size_t dirty_exact = exact_bytes(dirty);
-  const double clean_frac =
-      static_cast<double>(clean_exact) / static_cast<double>(mb);
-  const double dirty_frac =
-      static_cast<double>(dirty_exact) / static_cast<double>(mb);
-  std::printf("\nexact-scan fraction after prefilter: clean %.4f, dirty %.4f\n",
-              clean_frac, dirty_frac);
-  rep.metric("prefilter.clean_exact_fraction", clean_frac, "fraction");
-  rep.metric("prefilter.dirty_exact_fraction", dirty_frac, "fraction");
+  sweep("corpus", corpus, 8, "");
+  sweep("bulk", bulk, 16, "bulk.");
 
   std::printf(
-      "\nexpected shape: flat_batch beats flat_dfa on many segments\n"
-      "(overlapped row loads), and staged crushes both on clean traffic\n"
-      "(the SIMD prefilter clears most bytes without touching the DFA);\n"
-      "on dirty traffic staged degrades toward flat_dfa, never worse than\n"
-      "prefilter + flat over the windows.\n");
+      "expected shape: flat_batch beats flat_dfa on many segments\n"
+      "(overlapped row loads). The prefilter clears most clean bytes\n"
+      "for the corpus base but only about half for the bulk base, and\n"
+      "staged pays off only where the prefilter pass costs less than\n"
+      "the DFA walk it saves; on dirty traffic staged degrades toward\n"
+      "flat_dfa. The bulk rule base costs more per byte in every DFA\n"
+      "kernel: most of its rows do not fit in cache.\n");
   return rep.write() ? 0 : 1;
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Render a performance-trajectory table from checked-in bench snapshots.
 
-Reads every BENCH_*.json in the repo root (schema sdt-bench-snapshot/1,
-written by scripts/bench_snapshot.sh), orders them by date, and prints a
+Reads every BENCH_*.json in the repo root (schema sdt-bench-snapshot/1
+or /2, written by scripts/bench_snapshot.sh), orders them by date, and prints a
 markdown table with one row per metric and one column per snapshot — the
 honest history of how the numbers moved across PRs. docs/PERFORMANCE.md
 embeds the headline table; regenerate it with:
@@ -61,7 +61,8 @@ def load_snapshots(root):
         except (OSError, ValueError) as e:
             print(f"warning: skipping {path}: {e}", file=sys.stderr)
             continue
-        if doc.get("schema") != "sdt-bench-snapshot/1":
+        if doc.get("schema") not in ("sdt-bench-snapshot/1",
+                                     "sdt-bench-snapshot/2"):
             print(f"warning: skipping {path}: not a snapshot", file=sys.stderr)
             continue
         snaps.append((doc.get("date", os.path.basename(path)), path, doc))

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Run the experiment bench suite and merge the per-bench machine-readable
 # reports (schema sdt-bench/1, one per binary via --json) into a single
-# snapshot file (schema sdt-bench-snapshot/1, documented in
-# docs/OBSERVABILITY.md), then validate it.
+# snapshot file (schema sdt-bench-snapshot/2, documented in
+# docs/OBSERVABILITY.md), then validate it. The snapshot records the host it
+# ran on: core count, CPU model and the CMake build type of the binaries.
 #
 #   scripts/bench_snapshot.sh              # full suite -> BENCH_<date>.json
 #   scripts/bench_snapshot.sh --quick      # CI smoke sizing, same schema
@@ -64,12 +65,22 @@ for b in "${BENCHES[@]}"; do
     || { echo "bench_${b} failed:" >&2; cat "${TMP}/${b}.log" >&2; exit 1; }
 done
 
+# Provenance. An empty cached build type means CMakeLists.txt's default.
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' "${BUILD}/CMakeCache.txt")"
+BUILD_TYPE="${BUILD_TYPE:-RelWithDebInfo}"
+CPU_MODEL="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -1)"
+CPU_MODEL="${CPU_MODEL:-unknown}"
+
 # Merge: benches keyed by their bench id, plus run provenance.
 jq -n \
    --arg date "${DATE}" \
    --arg host "$(hostname)" \
+   --argjson cores "$(nproc)" \
+   --arg cpu_model "${CPU_MODEL}" \
+   --arg build_type "${BUILD_TYPE}" \
    --argjson quick "$([[ -n "${QUICK}" ]] && echo true || echo false)" \
-   '{schema: "sdt-bench-snapshot/1", date: $date, host: $host,
+   '{schema: "sdt-bench-snapshot/2", date: $date, host: $host,
+     cores: $cores, cpu_model: $cpu_model, build_type: $build_type,
      quick: $quick, benches: ([inputs | {(.bench): .}] | add)}' \
    "${TMP}"/*.json > "${OUT}"
 

@@ -37,6 +37,10 @@
 #   5b. parse-once gate: ctest -L net under ASan+UBSan (EtherType
 #      dispatch, VLAN strip, IPv6 extension walk, tunnel decap — a
 #      decoder trusting a lying length field must fail loudly)
+#   5c. inlinebench oracle gate: configure inlinebench/ in Release exactly
+#      as its run.py does, build oracle_selftest and run it through ctest
+#      (the benchmark's independent oracle must still catch every fault it
+#      is seeded with)
 #   6. docs gate: scripts/check_docs.py validates every intra-repo
 #      markdown link and anchor (docs rot fails the build, not review)
 #
@@ -147,6 +151,12 @@ echo "== match-kernel gate: bench_match_kernels --quick smoke =="
 MATCH_JSON="$(mktemp /tmp/sdt_match_smoke.XXXXXX.json)"
 ./build/bench/bench_match_kernels --quick --json "${MATCH_JSON}" >/dev/null
 rm -f "${MATCH_JSON}"
+
+echo "== inlinebench: oracle_selftest =="
+cmake -S inlinebench -B .bench_build/inlinebench -DCMAKE_BUILD_TYPE=Release \
+  >/dev/null
+cmake --build .bench_build/inlinebench -j "${JOBS}" --target oracle_selftest
+ctest --test-dir .bench_build/inlinebench --output-on-failure
 
 echo "== docs gate: markdown link/anchor check =="
 python3 scripts/check_docs.py

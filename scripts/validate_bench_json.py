@@ -2,8 +2,9 @@
 """Validate bench JSON against the documented schemas (docs/OBSERVABILITY.md).
 
 Accepts either a per-bench report (schema sdt-bench/1, written by a bench's
---json flag) or a merged snapshot (schema sdt-bench-snapshot/1, written by
-scripts/bench_snapshot.sh). Exits nonzero with a message naming the first
+--json flag) or a merged snapshot (schema sdt-bench-snapshot/2, written by
+scripts/bench_snapshot.sh; /1 snapshots, which predate the host provenance
+fields, still validate). Exits nonzero with a message naming the first
 violation, so check.sh can gate on it. Stdlib only — the repo deliberately
 carries no JSON parser in C++ and no third-party Python.
 
@@ -89,10 +90,18 @@ def check_invariants(path, b):
                        f"{metric!r} = {names[metric]}, expected 0")
 
 
-def check_snapshot(path, doc):
-    for key in ("date", "host"):
+SNAPSHOT_VERSIONS = {"sdt-bench-snapshot/1": 1, "sdt-bench-snapshot/2": 2}
+
+
+def check_snapshot(path, doc, version):
+    provenance = ("cpu_model", "build_type") if version >= 2 else ()
+    for key in ("date", "host") + provenance:
         if not isinstance(doc.get(key), str) or not doc[key]:
             fail(path, f"missing/ill-typed {key!r}")
+    if version >= 2:
+        cores = doc.get("cores")
+        if not isinstance(cores, int) or isinstance(cores, bool) or cores < 1:
+            fail(path, "'cores' must be a positive int")
     if not isinstance(doc.get("quick"), bool):
         fail(path, "missing/ill-typed 'quick'")
     benches = doc.get("benches")
@@ -115,8 +124,8 @@ def main(argv):
         if not isinstance(doc, dict):
             fail(path, "top level is not an object")
         schema = doc.get("schema")
-        if schema == "sdt-bench-snapshot/1":
-            check_snapshot(path, doc)
+        if schema in SNAPSHOT_VERSIONS:
+            check_snapshot(path, doc, SNAPSHOT_VERSIONS[schema])
         elif schema == "sdt-bench/1":
             check_bench(path, None, doc)
         else:

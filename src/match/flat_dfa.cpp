@@ -1,6 +1,7 @@
 #include "match/flat_dfa.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -8,54 +9,78 @@ namespace sdt::match {
 
 FlatDfa::FlatDfa(std::span<const Bytes> patterns)
     : patterns_(patterns.size()) {
-  // Exact trie size up front: in sorted order each pattern adds one state
-  // per byte past its common prefix with its predecessor.
-  std::vector<ByteView> sorted(patterns.begin(), patterns.end());
-  std::sort(sorted.begin(), sorted.end(), [](ByteView a, ByteView b) {
-    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
-                                        b.end());
-  });
+  // States are numbered breadth-first as the trie is created: depth first,
+  // then byte order. In sorted order each pattern adds one state per byte
+  // past its common prefix with its predecessor, and the depth-d prefixes
+  // appear in byte order, so a new depth-d state takes the next id after
+  // the shallower states and the depth-d states seen so far.
+  struct Keyed {
+    ByteView bytes;
+    std::uint32_t id;
+  };
+  std::vector<Keyed> sorted;
+  sorted.reserve(patterns.size());
+  std::size_t max_len = 0;
+  for (std::uint32_t id = 0; id < patterns.size(); ++id) {
+    if (patterns[id].empty()) throw InvalidArgument("FlatDfa: empty pattern");
+    sorted.push_back({patterns[id], id});
+    max_len = std::max(max_len, patterns[id].size());
+  }
+  // Stable, so duplicates keep ascending ids.
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const Keyed& a, const Keyed& b) {
+                     return std::ranges::lexicographical_compare(a.bytes,
+                                                                 b.bytes);
+                   });
+  // lcp[k]: common prefix of sorted[k] with sorted[k - 1]. The exact
+  // state count is checked before anything is sized by pattern length.
+  std::vector<std::size_t> lcp(sorted.size(), 0);
   std::size_t n = 1;
-  ByteView prev;
-  for (const ByteView p : sorted) {
-    if (p.empty()) throw InvalidArgument("FlatDfa: empty pattern");
-    const auto lcp = std::mismatch(p.begin(), p.end(), prev.begin(),
-                                   prev.end()).first - p.begin();
-    n += p.size() - static_cast<std::size_t>(lcp);
-    prev = p;
+  for (std::size_t k = 0; k < sorted.size(); ++k) {
+    const ByteView p = sorted[k].bytes;
+    const ByteView q = k > 0 ? sorted[k - 1].bytes : ByteView{};
+    lcp[k] = static_cast<std::size_t>(std::ranges::mismatch(p, q).in1 -
+                                      p.begin());
+    n += p.size() - lcp[k];
   }
   if (n > kMaxStates) {
     throw InvalidArgument("FlatDfa: too many states for packed encoding");
   }
+  // next[d]: the depth-d state count, then the next free depth-d id.
+  std::vector<std::size_t> next(max_len + 1, 0);
+  for (std::size_t k = 0; k < sorted.size(); ++k) {
+    for (std::size_t d = lcp[k] + 1; d <= sorted[k].bytes.size(); ++d) {
+      ++next[d];
+    }
+  }
+  for (std::size_t d = 1, base = 1; d <= max_len; ++d) {
+    base += std::exchange(next[d], base);
+  }
   states_ = n;
 
   // Trie: trans_ starts as the goto function, (child << 8) per edge and 0
-  // for none (the root is nobody's child).
+  // for none (the root is nobody's child). path[d] is the current
+  // pattern's depth-d state; the first lcp of them are its predecessor's.
   trans_.assign(n * 256, kRoot);
   std::vector<std::vector<std::uint32_t>> out(n);
-  std::uint32_t fresh = 1;
-  for (std::uint32_t id = 0; id < patterns.size(); ++id) {
-    std::uint32_t s = 0;
-    for (const std::uint8_t b : patterns[id]) {
-      Entry& t = trans_[std::size_t{s} * 256 + b];
-      if (t == 0) t = Entry{fresh++} << 8;
-      s = state_of(t);
+  std::vector<std::uint32_t> path(max_len + 1, 0);
+  for (std::size_t k = 0; k < sorted.size(); ++k) {
+    const ByteView p = sorted[k].bytes;
+    for (std::size_t d = lcp[k] + 1; d <= p.size(); ++d) {
+      path[d] = static_cast<std::uint32_t>(next[d]++);
+      trans_[std::size_t{path[d - 1]} * 256 + p[d - 1]] = Entry{path[d]} << 8;
     }
-    out[s].push_back(id);
+    out[path[p.size()]].push_back(sorted[k].id);
   }
 
-  // BFS closes the goto function into the DFA. A child's failure state is
-  // where its parent's failure state goes on the same byte, and the child
-  // inherits that state's outputs; a missing edge copies the failure
-  // state's row entry. Both read only shallower states, whose rows and
-  // output lists are already final.
+  // Closing the goto function into the DFA in id order is the BFS order.
+  // A child's failure state is where its parent's failure state goes on
+  // the same byte, and the child inherits that state's outputs; a missing
+  // edge copies the failure state's row entry. Both read only shallower
+  // states, whose ids are smaller, so their rows and outputs are final.
   std::vector<std::uint32_t> fail(n, 0);
-  std::vector<std::uint32_t> queue;
-  queue.reserve(n);
-  queue.push_back(0);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const std::uint32_t s = queue[head];
-    Entry* row = trans_.data() + std::size_t{s} * 256;
+  for (std::size_t s = 0; s < n; ++s) {
+    Entry* row = trans_.data() + s * 256;
     const Entry* fail_row = trans_.data() + std::size_t{fail[s]} * 256;
     for (std::size_t b = 0; b < 256; ++b) {
       if (row[b] == 0) {
@@ -70,7 +95,6 @@ FlatDfa::FlatDfa(std::span<const Bytes> patterns)
         std::sort(out[c].begin(), out[c].end());
       }
       if (!out[c].empty()) row[b] |= kAcceptBit;
-      queue.push_back(c);
     }
   }
 
@@ -140,13 +164,34 @@ void FlatDfa::contains_any_batch(const ByteView* data, std::size_t n,
     for (std::size_t w = 0; w < active; ++w) {
       m = std::min(m, static_cast<std::size_t>(end[w] - ptr[w]));
     }
-    for (std::size_t j = 0; j < m; ++j) {
-      for (std::size_t w = 0; w < active; ++w) {
-        cur[w] = table[(cur[w] & kRowMask) + *ptr[w]];
-        ++ptr[w];
-        acc[w] |= cur[w] & kAcceptBit;
+    // The chunk walks local copies of the lanes. Called with the constant
+    // kBatchWidth, the lane loop unrolls and the copies live in registers
+    // instead of round-tripping through the arrays on every lane-byte.
+    const auto walk = [&](std::size_t width) {
+      const std::uint8_t* p[kBatchWidth] = {};
+      Entry c[kBatchWidth] = {};
+      Entry a[kBatchWidth] = {};
+#pragma GCC unroll 8
+      for (std::size_t w = 0; w < width; ++w) {
+        p[w] = ptr[w];
+        c[w] = cur[w];
+        a[w] = acc[w];
       }
-    }
+      for (std::size_t j = 0; j < m; ++j) {
+#pragma GCC unroll 8
+        for (std::size_t w = 0; w < width; ++w) {
+          c[w] = table[(c[w] & kRowMask) + p[w][j]];
+          a[w] |= c[w] & kAcceptBit;
+        }
+      }
+#pragma GCC unroll 8
+      for (std::size_t w = 0; w < width; ++w) {
+        ptr[w] = p[w] + m;
+        cur[w] = c[w];
+        acc[w] = a[w];
+      }
+    };
+    active == kBatchWidth ? walk(kBatchWidth) : walk(active);
     for (std::size_t w = 0; w < active;) {
       if (acc[w] != 0 || ptr[w] == end[w]) {
         hit[slot[w]] = acc[w] != 0 ? 1 : 0;

@@ -19,10 +19,18 @@
 // stream while the Split-Detect fast path deliberately restarts at kRoot
 // for every packet (that is the point of the paper).
 //
+// States are numbered breadth-first (depth, then byte order) as the trie
+// is created. A per-packet walk over payload without pieces lives in the
+// root and its children, so this stores the rows it reads as one block of
+// at most 257 KiB instead of one per 4 KiB page across the whole table;
+// it also makes the failure-link closure a single pass in id order.
+//
 // contains_any_batch() walks up to kBatchWidth independent buffers in
 // lockstep so the (usually cache-missing) row loads of different lanes
 // overlap instead of serializing — the software analogue of the paper's
 // "the automaton load is the bottleneck, so pipeline flows" argument.
+// While all kBatchWidth lanes are busy, their cursors, verdict bits and
+// byte pointers stay in registers for a whole chunk.
 //
 // States are capped at 2^24 (flags get the low 8 bits); piece automata are
 // tens of thousands of states, so the cap is generous. Per-state output

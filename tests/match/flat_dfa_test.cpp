@@ -301,6 +301,113 @@ TEST(FlatDfa, BatchMatchesSequentialOnRaggedInputs) {
   }
 }
 
+TEST(FlatDfa, StatesAreNumberedBreadthFirst) {
+  // Walking a pattern's prefix from the root follows goto edges only, so
+  // it names every trie state with its path. Patterns go in unsorted,
+  // with shared prefixes, duplicates and both ends of the byte range.
+  std::vector<Bytes> patterns = {to_bytes("zebra"), to_bytes("ab"),
+                                 from_hex("ff00"),  to_bytes("abc"),
+                                 to_bytes("zeal"),  from_hex("00"),
+                                 to_bytes("ab"),    to_bytes("b")};
+  Rng rng(23);
+  for (int k = 0; k < 40; ++k) {
+    const auto len = 1 + static_cast<std::size_t>(rng.below(7));
+    patterns.push_back(rng.random_bytes(len));
+  }
+  const FlatDfa f(patterns);
+
+  std::vector<Bytes> path_of(f.state_count());
+  std::vector<bool> seen(f.state_count(), false);
+  seen[0] = true;
+  for (const Bytes& p : patterns) {
+    FlatDfa::Entry e = FlatDfa::kRoot;
+    for (std::size_t d = 1; d <= p.size(); ++d) {
+      const std::uint32_t parent = FlatDfa::state_of(e);
+      e = f.advance(e, p[d - 1]);
+      const std::uint32_t s = FlatDfa::state_of(e);
+      ASSERT_LT(s, f.state_count());
+      EXPECT_GT(s, parent) << "goto child numbered before its parent";
+      seen[s] = true;
+      path_of[s] = Bytes(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(d));
+    }
+  }
+  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](bool b) { return b; }));
+
+  // Ids run depth first, then in byte order within a depth: exactly the
+  // order a BFS from the root visits the trie.
+  for (std::uint32_t s = 1; s < f.state_count(); ++s) {
+    const Bytes& a = path_of[s - 1];
+    const Bytes& b = path_of[s];
+    EXPECT_TRUE(a.size() < b.size() || (a.size() == b.size() && a < b))
+        << "state " << s;
+  }
+
+  // The root's children are 1..k, in byte order.
+  std::vector<std::uint8_t> firsts;
+  for (const Bytes& p : patterns) firsts.push_back(p[0]);
+  std::sort(firsts.begin(), firsts.end());
+  firsts.erase(std::unique(firsts.begin(), firsts.end()), firsts.end());
+  for (std::size_t r = 0; r < firsts.size(); ++r) {
+    EXPECT_EQ(FlatDfa::state_of(f.advance(FlatDfa::kRoot, firsts[r])), r + 1);
+  }
+}
+
+TEST(FlatDfa, FullWidthBatchRetiresHitLanesMidRun) {
+  // Exactly kBatchWidth equal-length lanes of several 256-byte chunks.
+  // Filler bytes 'c'..'e' occur in no pattern. "abY" reaches "bY" through
+  // the edge that state "ab" copied from its failure state "b".
+  const std::vector<Bytes> patterns = {to_bytes("Z"), to_bytes("LAST"),
+                                       to_bytes("abX"), to_bytes("bY")};
+  const FlatDfa f(patterns);
+  constexpr std::size_t kLen = 700;
+  struct Plant {
+    std::size_t lane;
+    std::size_t at;
+    const char* bytes;
+  };
+  Rng rng(61);
+  const auto run = [&](std::initializer_list<Plant> plants,
+                       const std::vector<std::uint8_t>& expect) {
+    std::vector<Bytes> bufs(FlatDfa::kBatchWidth);
+    for (Bytes& b : bufs) {
+      b.resize(kLen);
+      for (auto& c : b) c = static_cast<std::uint8_t>('c' + rng.below(3));
+    }
+    for (const Plant& p : plants) {
+      const Bytes pb = to_bytes(p.bytes);
+      std::copy(pb.begin(), pb.end(),
+                bufs[p.lane].begin() + static_cast<std::ptrdiff_t>(p.at));
+    }
+    const std::vector<ByteView> views(bufs.begin(), bufs.end());
+    std::vector<std::uint8_t> hit(views.size() + 1, 0xee);
+    f.contains_any_batch(views.data(), views.size(), hit.data());
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      EXPECT_EQ(hit[i] != 0, !naive_hits(patterns, views[i]).empty())
+          << "lane " << i;
+    }
+    std::vector<std::uint8_t> want = expect;
+    want.push_back(0xee);  // no write past n
+    EXPECT_EQ(hit, want);
+  };
+
+  // No lane retires before the end, so every chunk runs at full width:
+  // hits at the last byte, through the copied edge in the last chunk, and
+  // across a chunk boundary.
+  run({{1, kLen - 4, "LAST"},
+       {3, kLen - 50, "abY"},
+       {6, 511, "abX"},
+       {7, kLen - 3, "abX"}},
+      {0, 1, 0, 1, 0, 0, 1, 1});
+  // First-byte hits retire their lanes after the first chunk; the rest
+  // finish below full width and keep their own verdicts.
+  run({{0, 0, "Z"},
+       {2, 300, "abY"},
+       {5, 0, "Z"},
+       {5, kLen - 1, "Z"},
+       {6, kLen - 4, "LAST"}},
+      {1, 0, 1, 0, 0, 1, 1, 0});
+}
+
 TEST(FlatDfa, BatchHandlesZeroAndOne) {
   const FlatDfa f = make({"zz"});
   f.contains_any_batch(nullptr, 0, nullptr);  // must not crash
